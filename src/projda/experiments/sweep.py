@@ -4,12 +4,21 @@ A sweep is the cartesian product of the configured axes, iterated with
 scenario outermost, then forcing, Q scale, r_p, and r_d innermost. Results
 are keyed by (point, trial), so the summary is identical for any worker
 count.
+
+Worker processes share the machine's cores. Unless the user chose a thread
+count through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, each worker caps the
+OpenBLAS libraries it has loaded (numpy and scipy wheels each ship one) at its
+share of the usable CPUs, so the workers' multi-threaded triangular solves do
+not oversubscribe the cores. The results do not depend on the thread count;
+the sweep tests check this at shapes where OpenBLAS runs threaded.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -61,18 +70,73 @@ def _run_task(args):
 def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
     """All trials of a single configuration, in trial order."""
     tasks = [(0, t, config) for t in range(config.trials)]
-    results = _execute(tasks, jobs)
+    results = _execute(tasks, *_pool_shape(jobs, len(tasks)))
     return [results[(0, t)] for t in range(config.trials)]
 
 
-def _execute(tasks, jobs: int) -> dict:
+# (prefix, suffix) of the thread-count entry points: numpy's 64-bit-integer
+# wheel library, scipy's wheel library, a system OpenBLAS
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
+
+
+def _openblas_entry_points(verb: str) -> list:
+    """The ``<verb>_num_threads`` function of every OpenBLAS mapped into this
+    process; empty where none is loaded or /proc/self/maps is unreadable."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    entries = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            fn = getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)
+            if fn is not None:
+                entries.append(fn)
+                break
+    return entries
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_shape(jobs: int, n_tasks: int) -> tuple[int, int | None]:
+    """Worker count, and the BLAS threads each worker gets (None: the library
+    keeps its own setting, as it does in the serial path)."""
+    workers = max(1, min(jobs, n_tasks))
+    if (workers == 1 or "OPENBLAS_NUM_THREADS" in os.environ
+            or "OMP_NUM_THREADS" in os.environ
+            or not _openblas_entry_points("set")):
+        return workers, None
+    return workers, max(1, _usable_cpus() // workers)
+
+
+def _limit_blas_threads(n_threads: int):
+    for set_threads in _openblas_entry_points("set"):
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(n_threads)
+
+
+def _execute(tasks, workers: int, blas_threads: int | None) -> dict:
     results = {}
-    if jobs <= 1:
+    if workers == 1:
         for task in tasks:
             p, t, rec = _run_task(task)
             results[(p, t)] = rec
         return results
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    initializer = None if blas_threads is None else _limit_blas_threads
+    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
+                             initargs=(blas_threads,)) as pool:
         for p, t, rec in pool.map(_run_task, tasks, chunksize=1):
             results[(p, t)] = rec
     return results
@@ -99,9 +163,11 @@ def summarize(config: ExperimentConfig, records: list[MetricsRecord]) -> Summary
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
     points = sweep_points(config)
     tasks = [(p, t, cfg) for p, cfg in enumerate(points) for t in range(cfg.trials)]
-    logger.info("sweep: %d points x %d trials, %d worker(s)",
-                len(points), config.trials, max(jobs, 1))
-    results = _execute(tasks, jobs)
+    workers, blas_threads = _pool_shape(jobs, len(tasks))
+    logger.info("sweep: %d points x %d trials, %d worker(s), BLAS threads per worker: %s",
+                len(points), config.trials, workers,
+                "library default" if blas_threads is None else blas_threads)
+    results = _execute(tasks, workers, blas_threads)
     rows = []
     for p, cfg in enumerate(points):
         records = [results[(p, t)] for t in range(cfg.trials)]

@@ -2,16 +2,16 @@
 
 Snapshot files hold raw little-endian float64 values, one state per record,
 with a JSON sidecar (same path + ".json") recording
-{model, M, n_steps, dt, seed, noise_on}.
+{model, M, n_steps, dt, seed, noise_on}. Basis files share the layout.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
+from ..errors import ReductionError
 from ..numerics import NoiseSpec, RngStream
 
 
@@ -76,15 +76,37 @@ def save_snapshots(path: str, states: np.ndarray, meta: dict):
         fh.write("\n")
 
 
+def read_raw_file(path: str, what: str, dims: tuple[str, ...]):
+    """Values and sidecar of a raw float64 file whose sidecar gives each key in
+    dims as a positive integer. Raises ReductionError naming the file when the
+    sidecar is malformed or a value is not finite; callers check the count."""
+    try:
+        with open(path + ".json") as fh:
+            sidecar = json.load(fh)
+    except ValueError as exc:
+        raise ReductionError(f"{what} sidecar {path}.json is not valid JSON: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise ReductionError(f"{what} sidecar {path}.json is not a JSON object")
+    for key in dims:
+        value = sidecar.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ReductionError(
+                f"{what} sidecar {path}.json needs {key!r} as a positive integer, "
+                f"found {value!r}"
+            )
+    raw = np.fromfile(path, dtype="<f8")
+    if not np.all(np.isfinite(raw)):
+        raise ReductionError(f"{what} file {path} holds non-finite values")
+    return raw, sidecar
+
+
 def load_snapshots(path: str):
     """Read a snapshot file; returns (states, sidecar dict)."""
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    m = int(sidecar["M"])
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size % m != 0:
-        raise ValueError(
-            f"snapshot file {os.path.basename(path)} holds {raw.size} values, "
-            f"not a multiple of M = {m}"
+    raw, sidecar = read_raw_file(path, "snapshot", ("M",))
+    m = sidecar["M"]
+    if raw.size == 0 or raw.size % m != 0:
+        raise ReductionError(
+            f"snapshot file {path} holds {raw.size} values, "
+            f"not a positive multiple of M = {m}"
         )
     return raw.reshape(-1, m), sidecar

@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from ..errors import ReductionError
+from ..models.simulate import read_raw_file
 
 
 class ReductionBasis:
@@ -106,11 +107,18 @@ def save_basis(path: str, basis: ReductionBasis, source_snapshot_file: str = "",
 
 
 def load_basis(path: str) -> ReductionBasis:
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    m, r = int(sidecar["M"]), int(sidecar["r"])
-    raw = np.fromfile(path, dtype="<f8")
+    raw, sidecar = read_raw_file(path, "basis", ("M", "r"))
+    m, r, kind = sidecar["M"], sidecar["r"], sidecar.get("kind")
+    # an identity basis maps states through unchanged whatever its columns,
+    # so a file never stands for one
+    if kind not in ("pod", "dmd", "aus"):
+        raise ReductionError(
+            f"basis sidecar {path}.json needs 'kind' pod, dmd or aus, found {kind!r}"
+        )
     if raw.size != m * r:
-        raise ValueError(f"basis file holds {raw.size} values, expected {m * r}")
+        raise ReductionError(f"basis file {path} holds {raw.size} values, expected {m * r}")
     cols = raw.reshape((m, r), order="F")
-    return ReductionBasis(cols, kind=sidecar["kind"])
+    try:
+        return ReductionBasis(cols, kind=kind)
+    except ReductionError as exc:
+        raise ReductionError(f"basis file {path}: {exc}") from None

@@ -21,6 +21,7 @@ from projda.experiments import (
     run_sweep,
     run_trial,
     summarize,
+    sweep,
     sweep_points,
     training_trajectory,
     write_summary_csv,
@@ -28,6 +29,22 @@ from projda.experiments import (
 )
 from projda.models import save_snapshots
 from projda.reduction import ReductionBasis, pod_basis, save_basis
+
+
+def _blas_threads():
+    return [get() for get in sweep._openblas_entry_points("get")]
+
+
+def _report_blas_threads(task):
+    return task[0], task[1], _blas_threads()
+
+
+def _worker_blas_threads(monkeypatch, jobs):
+    """Thread counts each OpenBLAS reports inside the sweep executor's workers."""
+    monkeypatch.setattr(sweep, "_run_task", _report_blas_threads)
+    tasks = [(0, t, None) for t in range(4 * jobs)]
+    results = sweep._execute(tasks, *sweep._pool_shape(jobs, len(tasks)))
+    return {n for counts in results.values() for n in counts}
 
 
 def _tiny(**overrides):
@@ -256,13 +273,34 @@ class TestSweep:
         assert [p.forcing for p in sweep_points(cfg)] == [3.0, 8.0]
 
     def test_parallel_matches_serial(self):
-        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod",
-                    trials=3, sweep_r_p=(4, 6))
+        # r_p, r_d and n_particles >= 8 put both sides of the triangular
+        # solves where OpenBLAS threads them: the serial run keeps the
+        # library's threads, each of the two workers gets its share
+        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", dimension=20,
+                    n_particles=10, training_steps=100, r_p=8, r_d=8,
+                    trials=3, sweep_r_p=(8, 10))
         serial = run_sweep(cfg, jobs=1)
         parallel = run_sweep(cfg, jobs=2)
         assert len(serial) == 2
         # SummaryRow is frozen, so == compares every aggregate exactly
         assert serial == parallel
+
+    def test_workers_get_their_share_of_blas_threads(self, monkeypatch):
+        if not sweep._openblas_entry_points("get"):
+            pytest.skip("no OpenBLAS loaded")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        jobs = cpus = sweep._usable_cpus()
+        assert _worker_blas_threads(monkeypatch, jobs) == {cpus // jobs}
+
+    def test_workers_keep_user_blas_threads(self, monkeypatch):
+        if not sweep._openblas_entry_points("get"):
+            pytest.skip("no OpenBLAS loaded")
+        # the library read the variable when it loaded; the pool must not
+        # override what it chose
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        own = set(_blas_threads())
+        assert _worker_blas_threads(monkeypatch, sweep._usable_cpus()) == own
 
     def test_summarize_aggregates_trial_means(self):
         cfg = _tiny(filter_kind="oppf", trials=2)

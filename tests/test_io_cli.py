@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from projda.cli import dispatch
+from projda.errors import ReductionError
 from projda.experiments import load_config, run_point, training_trajectory
 from projda.experiments.sweep import write_trial_csv
 from projda.models import load_snapshots, save_snapshots
-from projda.reduction import load_basis
+from projda.reduction import ReductionBasis, load_basis, save_basis
 
 
 class TestSnapshotFiles:
@@ -49,8 +50,79 @@ class TestSnapshotFiles:
         path = str(tmp_path / "snaps.bin")
         save_snapshots(path, states, {"model": "l96", "dt": 1.0})
         open(path, "ab").write(np.zeros(1).tobytes())
-        with pytest.raises(ValueError, match="multiple of M"):
+        with pytest.raises(ReductionError, match="multiple of M"):
             load_snapshots(path)
+
+
+def _save_snapshot_file(path):
+    save_snapshots(path, np.ones((4, 3)), {"model": "l96", "dt": 1.0})
+
+
+def _save_basis_file(path):
+    save_basis(path, ReductionBasis(np.eye(4)[:, :2], kind="pod"))
+
+
+def _truncate(path):
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:8 * 5])
+
+
+def _drop_m(path):
+    sidecar = json.load(open(path + ".json"))
+    del sidecar["M"]
+    json.dump(sidecar, open(path + ".json", "w"))
+
+
+def _poison(path):
+    values = np.fromfile(path, dtype="<f8")
+    values[1] = np.nan
+    values.tofile(path)
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("save, load", [(_save_snapshot_file, load_snapshots),
+                                            (_save_basis_file, load_basis)])
+    @pytest.mark.parametrize("spoil, message", [(_truncate, "holds 5 values"),
+                                                (_drop_m, "'M' as a positive integer"),
+                                                (_poison, "non-finite")])
+    def test_loader_names_the_file(self, tmp_path, save, load, spoil, message):
+        path = str(tmp_path / "data.bin")
+        save(path)
+        spoil(path)
+        with pytest.raises(ReductionError, match=message) as info:
+            load(path)
+        assert path in str(info.value)
+
+    def test_identity_kind_is_rejected(self, tmp_path):
+        # an identity basis ignores its columns, so an 8 x 4 file would map
+        # states through unreduced
+        path = str(tmp_path / "id.bin")
+        save_basis(path, ReductionBasis(np.eye(8)[:, :4], kind="identity", validate=False))
+        with pytest.raises(ReductionError, match="'kind' pod, dmd or aus"):
+            load_basis(path)
+
+    def test_reduce_on_bad_snapshots_exits_2_with_one_line(self, tmp_path, capsys):
+        snap = str(tmp_path / "truth.bin")
+        ini = _write_ini(tmp_path, reduction_extra=f"snapshot_file = {snap}\n")
+        assert dispatch(["truth", "--config", ini, "--out", snap]) == 0
+        _truncate(snap)
+        capsys.readouterr()
+        assert dispatch(["reduce", "--config", ini,
+                         "--out", str(tmp_path / "b.bin")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: snapshot file")
+
+    def test_sweep_with_bad_basis_reports_failed_trials(self, tmp_path, capsys):
+        basis = str(tmp_path / "basis.bin")
+        save_basis(basis, ReductionBasis(np.eye(8)[:, :6], kind="pod"))
+        _truncate(basis)
+        ini = _write_ini(tmp_path, reduction_extra=f"basis_file = {basis}\n",
+                         experiment_extra="sweep_r_p = 4, 6\n")
+        out = str(tmp_path / "summary.csv")
+        assert dispatch(["sweep", "--config", ini, "--out", out]) == 0
+        capsys.readouterr()
+        rows = open(out).read().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["2", "2"]
 
 
 def _write_ini(tmp_path, name="exp.ini", trials=2, reduction_extra="",

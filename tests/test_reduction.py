@@ -448,5 +448,5 @@ class TestBasisIo:
         save_basis(path, ReductionBasis(u, kind="pod"))
         with open(path, "r+b") as fh:
             fh.truncate(8 * 7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ReductionError, match="holds 7 values, expected 8"):
             load_basis(path)
