@@ -11,6 +11,12 @@ OpenBLAS libraries it has loaded (numpy and scipy wheels each ship one) at its
 share of the usable CPUs, so the workers' multi-threaded triangular solves do
 not oversubscribe the cores. The results do not depend on the thread count;
 the sweep tests check this at shapes where OpenBLAS runs threaded.
+
+Within one process, trials that start from the same state with the same
+spin-up inputs (the same trial at different r_p or r_d, say) walk the truth
+once: the first walk is kept for the rest of the sweep. Which worker draws
+which trial varies from run to run, so under several workers the reuse is
+partial; the results never depend on it.
 """
 
 from __future__ import annotations
@@ -62,9 +68,17 @@ def sweep_points(config: ExperimentConfig) -> list[ExperimentConfig]:
     return points
 
 
-def _run_task(args):
+# A pool worker's spin-up memo, opened by the worker's initializer and kept
+# for its life; the parent process never sets it.
+_worker_spin_ups: dict | None = None
+
+
+def _run_task(args, spin_ups: dict | None = None):
+    """One (point, trial) task; spin_ups defaults to the pool worker's memo."""
     point_index, trial_index, cfg = args
-    return point_index, trial_index, run_trial(cfg, trial_index)
+    if spin_ups is None:
+        spin_ups = _worker_spin_ups
+    return point_index, trial_index, run_trial(cfg, trial_index, spin_ups)
 
 
 def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
@@ -127,15 +141,22 @@ def _limit_blas_threads(n_threads: int):
         set_threads(n_threads)
 
 
+def _init_worker(blas_threads: int | None):
+    global _worker_spin_ups
+    _worker_spin_ups = {}
+    if blas_threads is not None:
+        _limit_blas_threads(blas_threads)
+
+
 def _execute(tasks, workers: int, blas_threads: int | None) -> dict:
     results = {}
     if workers == 1:
+        spin_ups = {}
         for task in tasks:
-            p, t, rec = _run_task(task)
+            p, t, rec = _run_task(task, spin_ups)
             results[(p, t)] = rec
         return results
-    initializer = None if blas_threads is None else _limit_blas_threads
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(blas_threads,)) as pool:
         for p, t, rec in pool.map(_run_task, tasks, chunksize=1):
             results[(p, t)] = rec

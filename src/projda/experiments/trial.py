@@ -58,17 +58,25 @@ def _needs_snapshots(config: ExperimentConfig) -> bool:
     return from_training or config.data_reduction == "data"
 
 
+def _recording(config: ExperimentConfig):
+    """What _spin_up records along the walk: training snapshots or not, basis
+    spin-up anchors or not, and the anchors' window in observation cycles."""
+    record_snaps = _needs_snapshots(config) and not config.snapshot_file
+    record_anchors = config.reduction_kind == "aus" and not config.uses_identity_reduction
+    return record_snaps, record_anchors, config.aus_spinup if record_anchors else 0
+
+
 def _spin_up(config: ExperimentConfig, model, x0):
     """Deterministic walk to the assimilation start, recording training
     snapshots and basis spin-up anchor states along the way.
 
     The walk always covers burn_in + training_steps internal steps so the
-    truth trajectory is identical across reduction and filter choices."""
+    truth trajectory is identical across reduction and filter choices. The
+    returned arrays are read-only, as trials may share them."""
     spo = model.steps_per_observation
     total = config.burn_in + config.training_steps
-    record_snaps = _needs_snapshots(config) and not config.snapshot_file
-    record_anchors = config.reduction_kind == "aus" and not config.uses_identity_reduction
-    window = config.aus_spinup * spo
+    record_snaps, record_anchors, aus_spinup = _recording(config)
+    window = aus_spinup * spo
     snaps, anchors = [], []
     x = np.asarray(x0, dtype=float)
     for s in range(total + 1):
@@ -78,9 +86,24 @@ def _spin_up(config: ExperimentConfig, model, x0):
             anchors.append(x)
         if s < total:
             x = model.step(x)
-    snap_arr = np.asarray(snaps) if snaps else None
-    anchor_arr = np.asarray(anchors) if anchors else None
-    return x, snap_arr, anchor_arr
+    out = (x, np.asarray(snaps) if snaps else None, np.asarray(anchors) if anchors else None)
+    for arr in out:
+        if arr is not None:
+            arr.flags.writeable = False
+    return out
+
+
+def _shared_spin_up(config: ExperimentConfig, model, x0, spin_ups: dict | None):
+    """_spin_up's result, taken from spin_ups when an earlier trial walked
+    from the same state with the same inputs; spin_ups None keeps nothing."""
+    if spin_ups is None:
+        return _spin_up(config, model, x0)
+    key = (model, x0.tobytes(), config.burn_in, config.training_steps,
+           config.training_stride, _recording(config))
+    walked = spin_ups.get(key)
+    if walked is None:
+        walked = spin_ups[key] = _spin_up(config, model, x0)
+    return walked
 
 
 def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
@@ -193,8 +216,13 @@ class ReductionDriver:
             self.u = self._u_next
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> MetricsRecord:
-    """Run one assimilation trial and collect per-observation metrics."""
+def run_trial(config: ExperimentConfig, trial_index: int,
+              spin_ups: dict | None = None) -> MetricsRecord:
+    """Run one assimilation trial and collect per-observation metrics.
+
+    spin_ups, when given, is a memo of deterministic walks shared by the
+    trials that receive it: a trial whose walk is in it skips its spin-up.
+    Sweeps pass one per process; the outputs do not depend on it."""
     rng = RngStream(config.base_seed).child(trial_index)
     model = config.build_model()
     h = config.build_observation(model)
@@ -206,7 +234,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> MetricsRecord:
     rmses, projs, esses, flags = [], [], [], []
     try:
         x_init = _initial_state(config, model, rng)
-        x_start, snapshots, anchors = _spin_up(config, model, x_init)
+        x_start, snapshots, anchors = _shared_spin_up(config, model, x_init, spin_ups)
         if config.snapshot_file and _needs_snapshots(config):
             snapshots, _ = load_snapshots(config.snapshot_file)
             if snapshots.shape[1] != model.dimension:

@@ -9,18 +9,35 @@ import numpy as np
 from ..errors import BlowupError
 
 
+_NEIGHBOURS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _neighbours(m: int):
+    """Cyclic indices (i+1, i-1, i-2) mod m, built once per dimension."""
+    idx = _NEIGHBOURS.get(m)
+    if idx is None:
+        i = np.arange(m)
+        idx = _NEIGHBOURS[m] = ((i + 1) % m, (i - 1) % m, (i - 2) % m)
+    return idx
+
+
 def l96_rhs(u: np.ndarray, forcing: float) -> np.ndarray:
     """du_i/dt = (u_{i+1} - u_{i-2}) u_{i-1} - u_i + F with cyclic indices.
 
     Accepts a single state of shape (M,) or a batch of column states (M, k).
+    The result keeps the memory order of u (a gather alone returns C order),
+    because later matrix products round differently on a different layout.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[0] < 4:
         raise ValueError("Lorenz-96 needs dimension >= 4")
-    up1 = np.roll(u, -1, axis=0)
-    um1 = np.roll(u, 1, axis=0)
-    um2 = np.roll(u, 2, axis=0)
-    return (up1 - um2) * um1 - u + forcing
+    ip1, im1, im2 = _neighbours(u.shape[0])
+    out = np.empty_like(u)
+    np.subtract(u.take(ip1, axis=0), u.take(im2, axis=0), out=out)
+    out *= u.take(im1, axis=0)
+    out -= u
+    out += forcing
+    return out
 
 
 def step_rk4(rhs, state: np.ndarray, dt: float) -> np.ndarray:

@@ -78,11 +78,15 @@ def save_snapshots(path: str, states: np.ndarray, meta: dict):
 
 def read_raw_file(path: str, what: str, dims: tuple[str, ...]):
     """Values and sidecar of a raw float64 file whose sidecar gives each key in
-    dims as a positive integer. Raises ReductionError naming the file when the
-    sidecar is malformed or a value is not finite; callers check the count."""
+    dims as a positive integer. Raises ReductionError naming the file when
+    either file cannot be read, the sidecar is malformed or a value is not
+    finite; callers check the count."""
     try:
         with open(path + ".json") as fh:
             sidecar = json.load(fh)
+    except OSError as exc:
+        raise ReductionError(f"{what} sidecar {path}.json cannot be read: "
+                             f"{exc.strerror or exc}") from None
     except ValueError as exc:
         raise ReductionError(f"{what} sidecar {path}.json is not valid JSON: {exc}") from None
     if not isinstance(sidecar, dict):
@@ -94,7 +98,10 @@ def read_raw_file(path: str, what: str, dims: tuple[str, ...]):
                 f"{what} sidecar {path}.json needs {key!r} as a positive integer, "
                 f"found {value!r}"
             )
-    raw = np.fromfile(path, dtype="<f8")
+    try:
+        raw = np.fromfile(path, dtype="<f8")
+    except OSError as exc:
+        raise ReductionError(f"{what} file {path} cannot be read: {exc.strerror or exc}") from None
     if not np.all(np.isfinite(raw)):
         raise ReductionError(f"{what} file {path} holds non-finite values")
     return raw, sidecar

@@ -9,6 +9,7 @@ or are regenerated.
 import numpy as np
 import pytest
 
+import projda.experiments.trial as trial_module
 from projda.errors import ConfigError
 from projda.experiments import (
     MetricsRecord,
@@ -45,6 +46,19 @@ def _worker_blas_threads(monkeypatch, jobs):
     tasks = [(0, t, None) for t in range(4 * jobs)]
     results = sweep._execute(tasks, *sweep._pool_shape(jobs, len(tasks)))
     return {n for counts in results.values() for n in counts}
+
+
+def _count_spin_ups(monkeypatch):
+    """The r_p of every deterministic walk run in this process."""
+    walks = []
+    original = trial_module._spin_up
+
+    def counted(config, model, x0):
+        walks.append(config.r_p)
+        return original(config, model, x0)
+
+    monkeypatch.setattr(trial_module, "_spin_up", counted)
+    return walks
 
 
 def _tiny(**overrides):
@@ -321,6 +335,58 @@ class TestSweep:
         row = summarize(cfg, recs)
         assert row.failed_trials == 2
         assert np.isnan(row.mean_rmse)
+
+
+class TestSpinUpSharing:
+    def test_sweep_walks_each_trial_once(self, monkeypatch, tmp_path):
+        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", sweep_r_p=(2, 3, 4))
+        walks = _count_spin_ups(monkeypatch)
+        serial = run_sweep(cfg, jobs=1)
+        # 3 points x 2 trials share 2 truths; the first point walks them
+        assert walks == [2, 2]
+        paths = [str(tmp_path / "serial.csv"), str(tmp_path / "parallel.csv")]
+        write_summary_csv(paths[0], serial, cfg.model_kind)
+        write_summary_csv(paths[1], run_sweep(cfg, jobs=2), cfg.model_kind)
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+    def test_every_spin_up_input_is_in_the_key(self, monkeypatch):
+        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod")
+        x0 = cfg.build_model().default_state()
+        variants = [cfg, replace(cfg, dt=0.02), replace(cfg, burn_in=60),
+                    replace(cfg, training_steps=50), replace(cfg, training_stride=4),
+                    replace(cfg, reduction_kind="aus", data_reduction="model", aus_spinup=8)]
+        walks = _count_spin_ups(monkeypatch)
+        spin_ups = {}
+        for c in variants + variants:
+            trial_module._shared_spin_up(c, c.build_model(), x0, spin_ups)
+        trial_module._shared_spin_up(cfg, cfg.build_model(), x0 + 1.0, spin_ups)
+        assert len(walks) == len(spin_ups) == len(variants) + 1
+
+    def test_direct_trials_keep_no_state(self, monkeypatch):
+        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod")
+        walks = _count_spin_ups(monkeypatch)
+        run_trial(cfg, 0)
+        run_trial(cfg, 0)
+        assert len(walks) == 2
+
+    @pytest.mark.parametrize("over, recorded", [
+        (dict(reduction_kind="pod"), (9, 8)),  # training snapshots
+        (dict(reduction_kind="aus", data_reduction="model", aus_spinup=8), (8, 8)),  # anchors
+    ])
+    def test_shared_arrays_are_read_only(self, over, recorded):
+        cfg = _tiny(filter_kind="projoppf", **over)
+        model = cfg.build_model()
+        x0 = model.default_state()
+        spin_ups = {}
+        walked = trial_module._shared_spin_up(cfg, model, x0, spin_ups)
+        assert trial_module._shared_spin_up(cfg, model, x0.copy(), spin_ups) is walked
+        x_start, *records = walked
+        (kept,) = [arr for arr in records if arr is not None]
+        assert kept.shape == recorded
+        for arr in (x_start, kept):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestCsvWriters:

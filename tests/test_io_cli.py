@@ -7,6 +7,7 @@ run that regenerates everything from the same config.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -79,12 +80,22 @@ def _poison(path):
     values.tofile(path)
 
 
+def _remove_data(path):
+    os.remove(path)
+
+
+def _remove_sidecar(path):
+    os.remove(path + ".json")
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize("save, load", [(_save_snapshot_file, load_snapshots),
                                             (_save_basis_file, load_basis)])
     @pytest.mark.parametrize("spoil, message", [(_truncate, "holds 5 values"),
                                                 (_drop_m, "'M' as a positive integer"),
-                                                (_poison, "non-finite")])
+                                                (_poison, "non-finite"),
+                                                (_remove_data, "file .* cannot be read"),
+                                                (_remove_sidecar, "sidecar .* cannot be read")])
     def test_loader_names_the_file(self, tmp_path, save, load, spoil, message):
         path = str(tmp_path / "data.bin")
         save(path)
@@ -102,15 +113,25 @@ class TestMalformedFiles:
             load_basis(path)
 
     def test_reduce_on_bad_snapshots_exits_2_with_one_line(self, tmp_path, capsys):
+        self._reduce_exits_2_with_one_line(tmp_path, capsys, _truncate, "error: snapshot file")
+
+    @pytest.mark.parametrize("spoil, start", [(_remove_data, "error: snapshot file"),
+                                              (_remove_sidecar, "error: snapshot sidecar")])
+    def test_reduce_on_missing_snapshots_exits_2_with_one_line(self, tmp_path, capsys,
+                                                               spoil, start):
+        self._reduce_exits_2_with_one_line(tmp_path, capsys, spoil, start)
+
+    @staticmethod
+    def _reduce_exits_2_with_one_line(tmp_path, capsys, spoil, start):
         snap = str(tmp_path / "truth.bin")
         ini = _write_ini(tmp_path, reduction_extra=f"snapshot_file = {snap}\n")
         assert dispatch(["truth", "--config", ini, "--out", snap]) == 0
-        _truncate(snap)
+        spoil(snap)
         capsys.readouterr()
         assert dispatch(["reduce", "--config", ini,
                          "--out", str(tmp_path / "b.bin")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: snapshot file")
+        assert len(err) == 1 and err[0].startswith(start)
 
     def test_sweep_with_bad_basis_reports_failed_trials(self, tmp_path, capsys):
         basis = str(tmp_path / "basis.bin")
@@ -120,6 +141,17 @@ class TestMalformedFiles:
                          experiment_extra="sweep_r_p = 4, 6\n")
         out = str(tmp_path / "summary.csv")
         assert dispatch(["sweep", "--config", ini, "--out", out]) == 0
+        capsys.readouterr()
+        rows = open(out).read().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["2", "2"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_with_missing_basis_reports_failed_trials(self, tmp_path, capsys, jobs):
+        basis = str(tmp_path / "nope.bin")
+        ini = _write_ini(tmp_path, reduction_extra=f"basis_file = {basis}\n",
+                         experiment_extra="sweep_r_p = 4, 6\n")
+        out = str(tmp_path / "summary.csv")
+        assert dispatch(["sweep", "--config", ini, "--out", out, "--jobs", jobs]) == 0
         capsys.readouterr()
         rows = open(out).read().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["2", "2"]

@@ -37,6 +37,23 @@ class TestLorenz96:
         u = np.full(7, 5.0)
         np.testing.assert_array_equal(l96_rhs(u, 5.0), np.zeros(7))
 
+    @pytest.mark.parametrize("make", [
+        lambda g: g.standard_normal(9),
+        lambda g: g.standard_normal((9, 5)),
+        lambda g: g.standard_normal((5, 9)).T,  # F-ordered, as ReducedModel.forecast passes
+        lambda g: g.standard_normal(4),
+        lambda g: g.standard_normal((3, 4)).T,
+    ], ids=["single", "c_block", "f_block", "m4_single", "m4_f_block"])
+    def test_rhs_matches_roll_and_keeps_memory_order(self, make):
+        u = make(np.random.default_rng(3))
+        expect = (np.roll(u, -1, axis=0) - np.roll(u, 2, axis=0)) * np.roll(u, 1, axis=0) - u + 8.0
+        got = l96_rhs(u, 8.0)
+        np.testing.assert_array_equal(got, expect)
+        # the layout matters: a matrix product of the result rounds differently
+        # on C- and F-ordered operands
+        assert got.flags.c_contiguous == u.flags.c_contiguous
+        assert got.flags.f_contiguous == u.flags.f_contiguous
+
     def test_rk4_linear_decay_exact_polynomial(self):
         h = 0.01
         got = step_rk4(lambda x: -x, np.array([1.0]), h)
