@@ -34,7 +34,6 @@ from .models import (
     save_snapshots,
     simulate_truth,
     step_rk4,
-    swe_step,
 )
 from .numerics import NoiseSpec, RngStream, sample_gaussian
 from .reduction import (

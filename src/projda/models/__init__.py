@@ -1,7 +1,7 @@
 from ..numerics import NoiseSpec
 from .lorenz96 import L96Spec, l96_rhs, step_rk4
 from .observation import ObservationOperator, observe
-from .shallow_water import SWESpec, swe_step
+from .shallow_water import SWESpec
 from .simulate import load_snapshots, run_deterministic, save_snapshots, simulate_truth
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "save_snapshots",
     "simulate_truth",
     "step_rk4",
-    "swe_step",
 ]

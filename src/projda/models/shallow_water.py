@@ -75,12 +75,97 @@ class SWESpec:
     # -- stepping ----------------------------------------------------------
 
     def step(self, state: np.ndarray) -> np.ndarray:
-        """One internal step; accepts (M,) or a batch of column states (M, k)."""
+        """One internal step; accepts (M,) or a batch of column states (M, k).
+
+        A single state is stepped as a batch of one. A batch comes back as a
+        C-ordered (M, k) array whatever the memory order of the input.
+        """
         state = np.asarray(state, dtype=float)
-        if state.ndim == 2:
-            cols = [self._step_single(state[:, j]) for j in range(state.shape[1])]
-            return np.stack(cols, axis=1)
-        return self._step_single(state)
+        batched = state.ndim == 2
+        cols = state if batched else state[:, None]
+        k = cols.shape[1]
+        nx, ny = self.nx, self.ny
+        g = self.gravity
+        lx = self.dt / self.dx
+        ly = self.dt / self.dy
+
+        # The fields of all columns are stacked as (field, column, ny+2, nx+2)
+        # ghost-padded grids and flattened, so the x neighbour of flat cell p
+        # is p+1 and its y neighbour p+w. Each stage runs over the whole flat
+        # buffer; the interior cells of every grid lie in [lo, end). Cells in
+        # between (ghost columns, the seams between grids) get finite values
+        # that are never read back.
+        w = nx + 2
+        n = (ny + 2) * w
+        size = k * n  # cells per field
+        lo = w + 1
+        end = 3 * size - n + (ny + 1) * w - 1
+
+        fields = cols.T.reshape(k, 3, ny, nx).transpose(1, 0, 2, 3)
+        _check(fields, self._stability_error, batched)
+        u, v, h = fields
+
+        # conservative variables (h, hu, hv) and their fluxes
+        cons = np.empty((3, k, ny + 2, w))
+        core = cons[:, :, 1:-1, 1:-1]
+        core[0] = h
+        np.multiply(h, u, out=core[1])
+        np.multiply(h, v, out=core[2])
+        _fill_ghosts(cons, n_even=2)
+        c = cons.reshape(3, size)
+        pressure = (0.5 * g) * c[0] * c[0]
+        fx = _flux(c, 1, pressure, size).ravel()
+        fy = _flux(c, 2, pressure, size).ravel()
+        c = c.ravel()
+
+        # half-step states on the x face between p and p+1 and the y face
+        # between p and p+w. Faces in the last row of a field's last grid
+        # pair cells of two fields, so their depth may have any sign; the
+        # second fluxes, which divide by it, leave that row out as zeros.
+        mx = np.empty((3, size))
+        my = np.empty((3, size))
+        np.subtract(0.5 * (c[1:] + c[:-1]), (0.5 * lx) * (fx[1:] - fx[:-1]),
+                    out=mx.ravel()[:-1])
+        np.subtract(0.5 * (c[w:] + c[:-w]), (0.5 * ly) * (fy[w:] - fy[:-w]),
+                    out=my.ravel()[:-w])
+        mx, my = mx[:, :size - w], my[:, :size - w]
+        fx = _flux(mx, 1, (0.5 * g) * mx[0] * mx[0], size).ravel()
+        fy = _flux(my, 2, (0.5 * g) * my[0] * my[0], size).ravel()
+
+        # conservative update: cell p has x faces p-1, p and y faces p-w, p
+        new = np.empty((3, k, ny + 2, w))
+        np.subtract(
+            c[lo:end] - lx * (fx[lo:end] - fx[lo - 1:end - 1]),
+            ly * (fy[lo:end] - fy[lo - w:end - w]),
+            out=new.ravel()[lo:end],
+        )
+        h_new, p_new, q_new = new[:, :, 1:-1, 1:-1]
+        _check(h_new[None], _depth_error, batched)
+        u_new = p_new / h_new
+        v_new = q_new / h_new
+
+        # source split: exact Coriolis rotation and friction decay, explicit viscosity
+        ang = self.coriolis * self.dt
+        cs, sn = np.cos(ang), np.sin(ang)
+        rot = np.empty((2, k, ny + 2, w))
+        np.add(cs * u_new, sn * v_new, out=rot[0, :, 1:-1, 1:-1])
+        np.add(-sn * u_new, cs * v_new, out=rot[1, :, 1:-1, 1:-1])
+        _fill_ghosts(rot, n_even=1)
+        r = rot.ravel()
+        stop = end - size  # two fields here, not three
+        centre = r[lo:stop]
+        twice = 2.0 * centre
+        lap = (((r[lo + 1:stop + 1] - twice) + r[lo - 1:stop - 1]) / self.dx**2
+               + ((r[lo + w:stop + w] - twice) + r[lo - w:stop - w]) / self.dy**2)
+        decay = np.exp(-self.friction * self.dt)
+        np.add(decay * centre, (self.dt * self.viscosity) * lap, out=centre)
+
+        out = np.empty((self.dimension, k))
+        fields = out.T.reshape(k, 3, ny, nx).transpose(1, 0, 2, 3)
+        fields[:2] = rot[:, :, 1:-1, 1:-1]
+        fields[2] = h_new
+        _check(out, _finite_error, batched)
+        return out if batched else out[:, 0]
 
     def cycle_map(self, state):
         x = np.asarray(state, dtype=float)
@@ -88,77 +173,20 @@ class SWESpec:
             x = self.step(x)
         return x
 
-    def _step_single(self, state: np.ndarray) -> np.ndarray:
-        u, v, h = self.split(state)
-        self._check_stable(u, v, h)
-
-        g = self.gravity
-        lx = self.dt / self.dx
-        ly = self.dt / self.dy
-
-        # conservative variables with one ghost layer: periodic in x,
-        # reflecting in y (h, hu even; hv odd)
-        hp = _pad(h, even=True)
-        pp = _pad(h * u, even=True)
-        qp = _pad(h * v, even=False)
-
-        f1, f2, f3 = _flux_x(hp, pp, qp, g)
-        g1, g2, g3 = _flux_y(hp, pp, qp, g)
-
-        # half-step states on x faces (rows 1..ny of the padded arrays)
-        hx = 0.5 * (hp[1:-1, 1:] + hp[1:-1, :-1]) - 0.5 * lx * (f1[1:-1, 1:] - f1[1:-1, :-1])
-        px = 0.5 * (pp[1:-1, 1:] + pp[1:-1, :-1]) - 0.5 * lx * (f2[1:-1, 1:] - f2[1:-1, :-1])
-        qx = 0.5 * (qp[1:-1, 1:] + qp[1:-1, :-1]) - 0.5 * lx * (f3[1:-1, 1:] - f3[1:-1, :-1])
-
-        # half-step states on y faces (columns 1..nx)
-        hy = 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1]) - 0.5 * ly * (g1[1:, 1:-1] - g1[:-1, 1:-1])
-        py = 0.5 * (pp[1:, 1:-1] + pp[:-1, 1:-1]) - 0.5 * ly * (g2[1:, 1:-1] - g2[:-1, 1:-1])
-        qy = 0.5 * (qp[1:, 1:-1] + qp[:-1, 1:-1]) - 0.5 * ly * (g3[1:, 1:-1] - g3[:-1, 1:-1])
-
-        fx1, fx2, fx3 = _flux_x(hx, px, qx, g)
-        gy1, gy2, gy3 = _flux_y(hy, py, qy, g)
-
-        h_new = h - lx * (fx1[:, 1:] - fx1[:, :-1]) - ly * (gy1[1:, :] - gy1[:-1, :])
-        p_new = (h * u) - lx * (fx2[:, 1:] - fx2[:, :-1]) - ly * (gy2[1:, :] - gy2[:-1, :])
-        q_new = (h * v) - lx * (fx3[:, 1:] - fx3[:, :-1]) - ly * (gy3[1:, :] - gy3[:-1, :])
-
-        if np.any(h_new <= 0.0) or not np.all(np.isfinite(h_new)):
-            raise BlowupError("shallow-water layer depth became non-positive or non-finite")
-
-        u_new = p_new / h_new
-        v_new = q_new / h_new
-
-        # source split: exact Coriolis rotation and friction decay, explicit viscosity
-        ang = self.coriolis * self.dt
-        c, s = np.cos(ang), np.sin(ang)
-        u_rot = c * u_new + s * v_new
-        v_rot = -s * u_new + c * v_new
-        decay = np.exp(-self.friction * self.dt)
-        u_new = decay * u_rot + self.dt * self.viscosity * self._laplacian(u_rot, even=True)
-        v_new = decay * v_rot + self.dt * self.viscosity * self._laplacian(v_rot, even=False)
-
-        out = self.pack(u_new, v_new, h_new)
-        if not np.all(np.isfinite(out)):
-            raise BlowupError("shallow-water step produced non-finite values")
-        return out
-
-    def _check_stable(self, u, v, h):
-        if np.any(h <= 0.0) or not np.all(np.isfinite(h)):
-            raise BlowupError("shallow-water layer depth became non-positive or non-finite")
-        c = np.sqrt(self.gravity * np.max(h))
+    def _stability_error(self, fields) -> str | None:
+        """Why the (u, v, h) fields cannot be stepped, or None."""
+        u, v, h = fields
+        message = _depth_error(h)
+        if message is not None:
+            return message
+        c = np.sqrt(self.gravity * h.max())
         cfl = max(
-            (np.max(np.abs(u)) + c) * self.dt / self.dx,
-            (np.max(np.abs(v)) + c) * self.dt / self.dy,
+            (np.abs(u).max() + c) * self.dt / self.dx,
+            (np.abs(v).max() + c) * self.dt / self.dy,
         )
         if cfl >= 1.0:
-            raise BlowupError(f"runtime CFL violation: (|u| + sqrt(g h)) dt/dx = {cfl:.3f} >= 1")
-
-    def _laplacian(self, a, even: bool):
-        ap = _pad(a, even=even)
-        return (
-            (ap[1:-1, 2:] - 2.0 * ap[1:-1, 1:-1] + ap[1:-1, :-2]) / self.dx**2
-            + (ap[2:, 1:-1] - 2.0 * ap[1:-1, 1:-1] + ap[:-2, 1:-1]) / self.dy**2
-        )
+            return f"runtime CFL violation: (|u| + sqrt(g h)) dt/dx = {cfl:.3f} >= 1"
+        return None
 
     # -- initial condition ---------------------------------------------------
 
@@ -193,30 +221,59 @@ class SWESpec:
         return self.pack(u, v, h)
 
 
-def _pad(a: np.ndarray, even: bool) -> np.ndarray:
-    """One ghost layer: periodic in x (axis 1), reflected in y (axis 0).
+def _fill_ghosts(buf: np.ndarray, n_even: int) -> None:
+    """Fill the ghost layer of stacked padded fields (f, k, ny+2, nx+2) in place.
 
-    even=True mirrors the boundary row unchanged (h, u and x-momentum);
-    even=False mirrors with a sign flip (v and y-momentum), which zeroes the
-    wall-normal flow at the wall faces.
+    Periodic in x. At the y walls the first n_even fields are mirrored unchanged
+    (h, u and x-momentum) and the rest with a sign flip (v and y-momentum),
+    which zeroes the wall-normal flow at the wall faces.
     """
-    a = np.concatenate([a[:, -1:], a, a[:, :1]], axis=1)
-    sign = 1.0 if even else -1.0
-    return np.concatenate([sign * a[:1, :], a, sign * a[-1:, :]], axis=0)
+    buf[:, :, 1:-1, 0] = buf[:, :, 1:-1, -2]
+    buf[:, :, 1:-1, -1] = buf[:, :, 1:-1, 1]
+    buf[:n_even, :, 0] = buf[:n_even, :, 1]
+    buf[:n_even, :, -1] = buf[:n_even, :, -2]
+    np.negative(buf[n_even:, :, 1], out=buf[n_even:, :, 0])
+    np.negative(buf[n_even:, :, -2], out=buf[n_even:, :, -1])
 
 
-def _flux_x(h, p, q, g):
-    """x-direction flux of (h, hu, hv): (hu, hu^2 + g h^2/2, huv)."""
-    u = p / h
-    return p, p * u + 0.5 * g * h * h, q * u
+def _flux(s: np.ndarray, axis: int, pressure: np.ndarray, size: int) -> np.ndarray:
+    """Flux of stacked (h, hu, hv) of shape (3, m) along x (axis=1) or y (axis=2).
+
+    x: (hu, hu^2 + g h^2/2, huv); y: (hv, huv, hv^2 + g h^2/2), with the
+    pressure term g h^2/2 passed in. Comes back as (3, size), zero past m.
+    """
+    m = s.shape[1]
+    vel = s[axis] / s[0]
+    f = np.empty((3, size))
+    np.multiply(s, vel, out=f[:, :m])
+    f[:, m:] = 0.0
+    f[0, :m] = s[axis]
+    f[axis, :m] += pressure
+    return f
 
 
-def _flux_y(h, p, q, g):
-    """y-direction flux of (h, hu, hv): (hv, huv, hv^2 + g h^2/2)."""
-    v = q / h
-    return q, p * v, q * v + 0.5 * g * h * h
+def _check(a: np.ndarray, error, batched: bool) -> None:
+    """Raise BlowupError if error(a) gives a message; a holds columns on axis 1.
+
+    A check of all columns at once passes whenever every column passes. Only
+    a failure is traced to the first failing column, which the message of a
+    batched step names, so a column is blamed for its own values alone.
+    """
+    if error(a) is None:
+        return
+    for j in range(a.shape[1]):
+        message = error(a[:, j])
+        if message is not None:
+            raise BlowupError(f"{message} (column {j})" if batched else message)
 
 
-def swe_step(state: np.ndarray, spec: SWESpec) -> np.ndarray:
-    """One Lax-Wendroff step of the flat [u; v; h] state."""
-    return spec.step(state)
+def _depth_error(h: np.ndarray) -> str | None:
+    if h.min() > 0.0 and h.max() < np.inf:
+        return None
+    return "shallow-water layer depth became non-positive or non-finite"
+
+
+def _finite_error(a: np.ndarray) -> str | None:
+    if np.isfinite(a).all():
+        return None
+    return "shallow-water step produced non-finite values"

@@ -5,7 +5,12 @@ Hand oracles:
   rule (u_{i+1} - u_{i-2}) u_{i-1} - u_i gives (2-3)*4-1, (3-4)*1-2,
   (4-1)*2-3, (1-2)*3-4.
 - One RK4 step of x' = -x equals 1 - h + h^2/2 - h^3/6 + h^4/24 exactly.
+- The shallow-water step is checked bit for bit against `_reference_step`, a
+  plain per-column implementation of the same scheme: one field at a time,
+  each with its own ghost-padded copy, in the same float operation order.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +27,85 @@ from projda.models import (
     step_rk4,
 )
 from projda.numerics import NoiseSpec, RngStream
+
+
+# -- shallow-water reference: one column at a time -----------------------------
+
+def _reference_step(spec: SWESpec, state: np.ndarray) -> np.ndarray:
+    """One Lax-Wendroff step of a flat (M,) state or of each column of (M, k)."""
+    if state.ndim == 2:
+        return np.stack([_reference_step(spec, state[:, j])
+                         for j in range(state.shape[1])], axis=1)
+    u, v, h = spec.split(state)
+    g = spec.gravity
+    lx = spec.dt / spec.dx
+    ly = spec.dt / spec.dy
+
+    hp = _ref_pad(h, even=True)
+    pp = _ref_pad(h * u, even=True)
+    qp = _ref_pad(h * v, even=False)
+
+    f1, f2, f3 = _ref_flux_x(hp, pp, qp, g)
+    g1, g2, g3 = _ref_flux_y(hp, pp, qp, g)
+
+    hx = 0.5 * (hp[1:-1, 1:] + hp[1:-1, :-1]) - 0.5 * lx * (f1[1:-1, 1:] - f1[1:-1, :-1])
+    px = 0.5 * (pp[1:-1, 1:] + pp[1:-1, :-1]) - 0.5 * lx * (f2[1:-1, 1:] - f2[1:-1, :-1])
+    qx = 0.5 * (qp[1:-1, 1:] + qp[1:-1, :-1]) - 0.5 * lx * (f3[1:-1, 1:] - f3[1:-1, :-1])
+
+    hy = 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1]) - 0.5 * ly * (g1[1:, 1:-1] - g1[:-1, 1:-1])
+    py = 0.5 * (pp[1:, 1:-1] + pp[:-1, 1:-1]) - 0.5 * ly * (g2[1:, 1:-1] - g2[:-1, 1:-1])
+    qy = 0.5 * (qp[1:, 1:-1] + qp[:-1, 1:-1]) - 0.5 * ly * (g3[1:, 1:-1] - g3[:-1, 1:-1])
+
+    fx1, fx2, fx3 = _ref_flux_x(hx, px, qx, g)
+    gy1, gy2, gy3 = _ref_flux_y(hy, py, qy, g)
+
+    h_new = h - lx * (fx1[:, 1:] - fx1[:, :-1]) - ly * (gy1[1:, :] - gy1[:-1, :])
+    p_new = (h * u) - lx * (fx2[:, 1:] - fx2[:, :-1]) - ly * (gy2[1:, :] - gy2[:-1, :])
+    q_new = (h * v) - lx * (fx3[:, 1:] - fx3[:, :-1]) - ly * (gy3[1:, :] - gy3[:-1, :])
+
+    u_new = p_new / h_new
+    v_new = q_new / h_new
+
+    ang = spec.coriolis * spec.dt
+    c, s = np.cos(ang), np.sin(ang)
+    u_rot = c * u_new + s * v_new
+    v_rot = -s * u_new + c * v_new
+    decay = np.exp(-spec.friction * spec.dt)
+    u_new = decay * u_rot + spec.dt * spec.viscosity * _ref_laplacian(spec, u_rot, even=True)
+    v_new = decay * v_rot + spec.dt * spec.viscosity * _ref_laplacian(spec, v_rot, even=False)
+    return spec.pack(u_new, v_new, h_new)
+
+
+def _ref_pad(a, even):
+    a = np.concatenate([a[:, -1:], a, a[:, :1]], axis=1)
+    sign = 1.0 if even else -1.0
+    return np.concatenate([sign * a[:1, :], a, sign * a[-1:, :]], axis=0)
+
+
+def _ref_flux_x(h, p, q, g):
+    u = p / h
+    return p, p * u + 0.5 * g * h * h, q * u
+
+
+def _ref_flux_y(h, p, q, g):
+    v = q / h
+    return q, p * v, q * v + 0.5 * g * h * h
+
+
+def _ref_laplacian(spec, a, even):
+    ap = _ref_pad(a, even=even)
+    return (
+        (ap[1:-1, 2:] - 2.0 * ap[1:-1, 1:-1] + ap[1:-1, :-2]) / spec.dx**2
+        + (ap[2:, 1:-1] - 2.0 * ap[1:-1, 1:-1] + ap[:-2, 1:-1]) / spec.dy**2
+    )
+
+
+def _jet_block(spec: SWESpec, k: int) -> np.ndarray:
+    """k perturbed copies of the jet as the F-ordered (M, k) block that
+    ReducedModel.forecast passes: the transpose of C-ordered (k, M) rows."""
+    rows = spec.default_jet_state() + 0.01 * np.random.default_rng(7).standard_normal(
+        (k, spec.dimension))
+    return rows.T
 
 
 class TestLorenz96:
@@ -130,6 +214,84 @@ class TestShallowWater:
         stepped = spec.step(block)
         np.testing.assert_array_equal(stepped[:, 0], spec.step(x))
         np.testing.assert_array_equal(stepped[:, 1], spec.step(x + 0.01))
+
+    @pytest.mark.parametrize("nx, ny", [(64, 16), (8, 4)])
+    def test_step_matches_reference_bit_for_bit(self, nx, ny):
+        spec = SWESpec(nx=nx, ny=ny)
+        x = expected = spec.default_jet_state()
+        for _ in range(60):
+            x = spec.step(x)
+            expected = _reference_step(spec, expected)
+            assert x.flags.c_contiguous
+            assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("nx, ny", [(64, 16), (8, 4)])
+    def test_batched_step_matches_reference_bit_for_bit(self, nx, ny):
+        # the first step takes the F-ordered block, later ones the C-ordered
+        # (M, k) blocks the step returns, as np.stack(columns, axis=1) did
+        spec = SWESpec(nx=nx, ny=ny)
+        x = expected = _jet_block(spec, 5)
+        assert x.flags.f_contiguous and not x.flags.c_contiguous
+        for _ in range(60):
+            x = spec.step(x)
+            expected = _reference_step(spec, expected)
+            assert x.shape == expected.shape and x.flags.c_contiguous
+            assert np.array_equal(x, expected)
+
+    def test_jet_steps_raise_no_floating_point_warnings(self):
+        # the seams of the padded buffer are computed too; none of them may
+        # divide by zero or overflow
+        spec = SWESpec()
+        x = spec.default_jet_state()
+        block = _jet_block(spec, 5)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(60):
+                x = spec.step(x)
+                block = spec.step(block)
+
+    def test_batched_check_is_per_column(self):
+        # column 0 holds the fastest flow and column 1 the deepest layer; each
+        # is stable alone, but the fastest flow over the deepest layer is not
+        spec = SWESpec(nx=8, ny=4)
+        zero = np.zeros((4, 8))
+        fast = spec.pack(np.full((4, 8), 250.0), zero, np.full((4, 8), spec.depth))
+        deep = spec.pack(zero, zero, np.full((4, 8), 9000.0))
+        assert (250.0 + np.sqrt(spec.gravity * 9000.0)) * spec.dt / spec.dx >= 1.0
+        block = np.stack([fast, deep], axis=1)
+        assert np.array_equal(spec.step(block), _reference_step(spec, block))
+
+    def test_batched_cfl_violation_names_its_column(self):
+        spec = SWESpec(nx=8, ny=4)
+        x = spec.default_jet_state()
+        fast = spec.pack(np.full((4, 8), 300.0), np.zeros((4, 8)),
+                         np.full((4, 8), spec.depth))
+        with pytest.raises(BlowupError, match=r"runtime CFL violation.*\(column 2\)$"):
+            spec.step(np.stack([x, x, fast, x], axis=1))
+
+    def test_batched_nonpositive_depth_names_its_column(self):
+        spec = SWESpec(nx=8, ny=4)
+        x = spec.default_jet_state()
+        dry = x.copy()
+        dry[-5] = 0.0
+        with pytest.raises(BlowupError, match=r"non-positive or non-finite \(column 1\)$"):
+            spec.step(np.stack([x, dry], axis=1))
+        with pytest.raises(BlowupError, match=r"non-positive or non-finite$"):
+            spec.step(dry)
+
+    def test_depth_lost_in_the_step_names_its_column(self):
+        # a one-metre cell drained from both sides passes the check before
+        # the step and fails the one after it
+        spec = SWESpec(nx=8, ny=4)
+        h = np.full((4, 8), spec.depth)
+        h[1, 3] = 1.0
+        u = np.zeros((4, 8))
+        u[:, 4:] = 100.0
+        u[:, :3] = -100.0
+        drained = spec.pack(u, np.zeros((4, 8)), h)
+        x = spec.default_jet_state()
+        with pytest.raises(BlowupError, match=r"depth became .*\(column 2\)$"):
+            spec.step(np.stack([x, x, drained], axis=1))
 
     def test_static_cfl_rejected_at_construction(self):
         with pytest.raises(ValueError):
