@@ -17,11 +17,8 @@ from .filters import (
     ParticleEnsemble,
     ess,
     initialize_ensemble,
-    oppf_step,
     proj_oppf_step,
     proj_pf_step,
-    projected_resample_noise,
-    standard_pf_step,
     systematic_resample,
 )
 from .models import (
@@ -32,10 +29,9 @@ from .models import (
     load_snapshots,
     observe,
     save_snapshots,
-    simulate_truth,
     step_rk4,
 )
-from .numerics import NoiseSpec, RngStream, sample_gaussian
+from .numerics import NoiseSpec, RngStream
 from .reduction import (
     DmdResult,
     ReducedModel,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, ProjdaError, ReductionError
 from .experiments import load_config, replace, run_point, run_sweep
 from .experiments.sweep import write_summary_csv, write_trial_csv
-from .experiments.trial import _initial_state, training_trajectory
+from .experiments.trial import _initial_state, _spin_up, training_trajectory
 from .models import load_snapshots, save_snapshots
 from .numerics import RngStream
 from .reduction import dmd, dmd_basis, kaplan_yorke, lyapunov_spectrum, pod_basis, save_basis
@@ -61,9 +61,7 @@ def _cmd_reduce(args, config):
 def _cmd_lyapunov(args, config):
     model = config.build_model()
     rng = RngStream(config.base_seed).child(0)
-    x = _initial_state(config, model, rng)
-    for _ in range(config.burn_in):
-        x = model.step(x)
+    x, _, _ = _spin_up(model, _initial_state(config, model, rng), config.burn_in)
     exponents = lyapunov_spectrum(
         model, x, config.lyapunov_steps,
         min(config.lyapunov_exponents, model.dimension),

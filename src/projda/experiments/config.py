@@ -178,6 +178,10 @@ class ExperimentConfig:
                 if self.data_reduction != "model":
                     raise bad("reduction", "data_reduction",
                               "time-dependent bases support only the model-based data reduction")
+                if not self.aus_eps > 0:
+                    raise bad("reduction", "aus_eps", "must be positive")
+                if self.aus_spinup < 1:
+                    raise bad("reduction", "aus_spinup", "must be positive")
                 if self.burn_in + self.training_steps < self.aus_spinup * self.steps_per_observation:
                     raise bad("reduction", "aus_spinup",
                               "burn_in + training_steps is shorter than the spin-up window")
@@ -185,6 +189,8 @@ class ExperimentConfig:
                 if self.n_training_snapshots < max(self.r_p, 3):
                     raise bad("reduction", "training_steps",
                               f"only {self.n_training_snapshots} snapshots for rank {self.r_p}")
+        if self.dmd_rank < 0:
+            raise bad("reduction", "dmd_rank", "must be >= 0 (0 picks the rank from the data)")
         if self.n_particles < 1:
             raise bad("filter", "n_particles", "must be positive")
         if self.n_observations < 1 or self.trials < 1:
@@ -199,6 +205,10 @@ class ExperimentConfig:
             raise bad("experiment", "sweep_scenario", "scenarios apply to the swe model only")
         if self.lyapunov_exponents < 1 or self.lyapunov_steps < 1:
             raise bad("experiment", "lyapunov_*", "must be positive")
+        if self.lyapunov_qr_interval < 1:
+            raise bad("experiment", "lyapunov_qr_interval", "must be positive")
+        if not self.lyapunov_eps > 0:
+            raise bad("experiment", "lyapunov_eps", "must be positive")
         # constructing the component objects surfaces their own errors early
         try:
             model = self.build_model()

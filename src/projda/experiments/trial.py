@@ -58,31 +58,34 @@ def _needs_snapshots(config: ExperimentConfig) -> bool:
     return from_training or config.data_reduction == "data"
 
 
-def _recording(config: ExperimentConfig):
-    """What _spin_up records along the walk: training snapshots or not, basis
-    spin-up anchors or not, and the anchors' window in observation cycles."""
+def _walk(config: ExperimentConfig) -> tuple:
+    """_spin_up's arguments after x0 for a trial: burn-in, training steps, the
+    snapshot stride (None when the trial trains on no in-trial snapshots) and
+    the basis spin-up window in observation cycles (0 when it needs none)."""
     record_snaps = _needs_snapshots(config) and not config.snapshot_file
     record_anchors = config.reduction_kind == "aus" and not config.uses_identity_reduction
-    return record_snaps, record_anchors, config.aus_spinup if record_anchors else 0
+    return (config.burn_in, config.training_steps,
+            config.training_stride if record_snaps else None,
+            config.aus_spinup if record_anchors else 0)
 
 
-def _spin_up(config: ExperimentConfig, model, x0):
-    """Deterministic walk to the assimilation start, recording training
-    snapshots and basis spin-up anchor states along the way.
+def _spin_up(model, x0, burn_in: int, training_steps: int = 0,
+             stride: int | None = None, anchor_cycles: int = 0):
+    """Deterministic walk of burn_in + training_steps internal steps from x0.
 
-    The walk always covers burn_in + training_steps internal steps so the
-    truth trajectory is identical across reduction and filter choices. The
-    returned arrays are read-only, as trials may share them."""
+    Records the states at steps burn_in + k * stride when stride is given, and
+    the states one observation cycle apart within the last anchor_cycles cycles
+    (the basis spin-up anchors). Returns (x_end, snapshots or None, anchors or
+    None), all read-only, as trials may share them."""
     spo = model.steps_per_observation
-    total = config.burn_in + config.training_steps
-    record_snaps, record_anchors, aus_spinup = _recording(config)
-    window = aus_spinup * spo
+    total = burn_in + training_steps
+    window = anchor_cycles * spo
     snaps, anchors = [], []
     x = np.asarray(x0, dtype=float)
     for s in range(total + 1):
-        if record_snaps and s >= config.burn_in and (s - config.burn_in) % config.training_stride == 0:
+        if stride and s >= burn_in and (s - burn_in) % stride == 0:
             snaps.append(x)
-        if record_anchors and s < total and total - s <= window and (total - s) % spo == 0:
+        if s < total and total - s <= window and (total - s) % spo == 0:
             anchors.append(x)
         if s < total:
             x = model.step(x)
@@ -94,32 +97,29 @@ def _spin_up(config: ExperimentConfig, model, x0):
 
 
 def _shared_spin_up(config: ExperimentConfig, model, x0, spin_ups: dict | None):
-    """_spin_up's result, taken from spin_ups when an earlier trial walked
-    from the same state with the same inputs; spin_ups None keeps nothing."""
+    """_spin_up's result for a trial, taken from spin_ups when an earlier
+    trial walked from the same state with the same inputs; spin_ups None keeps
+    nothing. The walk always covers burn_in + training_steps, so the truth is
+    the same whatever the reduction and filter."""
+    walk = _walk(config)
     if spin_ups is None:
-        return _spin_up(config, model, x0)
-    key = (model, x0.tobytes(), config.burn_in, config.training_steps,
-           config.training_stride, _recording(config))
+        return _spin_up(model, x0, *walk)
+    key = (model, x0.tobytes()) + walk
     walked = spin_ups.get(key)
     if walked is None:
-        walked = spin_ups[key] = _spin_up(config, model, x0)
+        walked = spin_ups[key] = _spin_up(model, x0, *walk)
     return walked
 
 
 def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
     """The deterministic training segment of a trial: burn in, then record
-    every training_stride-th state. Matches what run_trial trains on, so a
+    every training_stride-th state. It is the walk run_trial trains on, so a
     basis built from the saved file equals the one built in-trial."""
     rng = RngStream(config.base_seed).child(trial_index)
     model = config.build_model()
-    x = _initial_state(config, model, rng)
-    for _ in range(config.burn_in):
-        x = model.step(x)
-    states = [x]
-    for s in range(1, config.training_steps + 1):
-        x = model.step(x)
-        if s % config.training_stride == 0:
-            states.append(x)
+    x0 = _initial_state(config, model, rng)
+    _, states, _ = _spin_up(model, x0, config.burn_in, config.training_steps,
+                            config.training_stride)
     meta = {
         "model": config.model_kind,
         "M": model.dimension,
@@ -128,7 +128,7 @@ def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
         "seed": config.base_seed,
         "noise_on": False,
     }
-    return np.asarray(states), meta
+    return states, meta
 
 
 class ReductionDriver:

@@ -3,8 +3,8 @@
 Every filter step follows the same pattern: propagate particles through the
 reduced model, draw from a proposal, update log-weights, and resample with
 projected jitter when the effective sample size drops below a threshold.
-The unprojected filters are the same code run with identity bases, so the
-two routes agree to the bit.
+The full-space filters are the same steps run with identity_reduced_model,
+whose identity bases leave every map exact.
 
 RNG contract per step, given the step's stream: particle l draws its proposal
 noise from child(l) (l = 0..L-1); an eventual resample uses child(L), first
@@ -19,12 +19,7 @@ import numpy as np
 
 from .errors import DegenerateWeightsError, WeightCollapseError
 from .numerics import NoiseSpec, RngStream, _as_generator
-from .reduction.basis import ReductionBasis
-from .reduction.reduced_model import (
-    ReducedModel,
-    identity_reduced_model,
-    smoothed_noise_rows,
-)
+from .reduction.reduced_model import ReducedModel
 
 
 @dataclass(frozen=True)
@@ -129,27 +124,6 @@ def systematic_resample(weights, rng) -> np.ndarray:
     return np.minimum(idx, n - 1)
 
 
-def projected_resample_noise(u, v, alpha: float, omega: float, rng,
-                             count: int | None = None) -> np.ndarray:
-    """Reduced-space resampling noise U^T [a V V^T + (1-a) I] xi, xi ~ N(0, w I).
-
-    u and v are state-space bases (ReductionBasis or plain (M, r) arrays).
-    Returns one vector, or (count, r_p) rows when count is given.
-    """
-    if not isinstance(u, ReductionBasis):
-        u = ReductionBasis(u, kind="custom", validate=False)
-    v_cols = v.columns if isinstance(v, ReductionBasis) else np.asarray(v, dtype=float)
-    if v_cols.shape[0] != u.state_dim:
-        raise ValueError("u and v must act on the same state space")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if omega < 0.0:
-        raise ValueError("omega must be nonnegative")
-    gen = _as_generator(rng)
-    rows = smoothed_noise_rows(u, v_cols, alpha, omega, gen, count or 1)
-    return rows if count is not None else rows[0]
-
-
 def _normalized_from_log(log_w: np.ndarray) -> np.ndarray:
     peak = np.max(log_w)
     if not np.isfinite(peak):
@@ -221,21 +195,3 @@ def proj_oppf_step(ensemble: ParticleEnsemble, reduced: ReducedModel,
     with np.errstate(divide="ignore"):
         log_w = np.log(ensemble.weights) - 0.5 * reduced.weight_quad(nu)
     return _finish_step(reduced, z_new, log_w, rng, config)
-
-
-def standard_pf_step(ensemble: ParticleEnsemble, model, h, q: NoiseSpec,
-                     r: NoiseSpec, y: np.ndarray, rng: RngStream,
-                     config: FilterConfig | None = None) -> ParticleEnsemble:
-    """Bootstrap particle filter on the full state: the identity-basis special
-    case of proj_pf_step."""
-    reduced = identity_reduced_model(model, h, q, r)
-    return proj_pf_step(ensemble, reduced, reduced.reduce_data(y), rng, config)
-
-
-def oppf_step(ensemble: ParticleEnsemble, model, h, q: NoiseSpec, r: NoiseSpec,
-              y: np.ndarray, rng: RngStream,
-              config: FilterConfig | None = None) -> ParticleEnsemble:
-    """Optimal-proposal particle filter on the full state: the identity-basis
-    special case of proj_oppf_step."""
-    reduced = identity_reduced_model(model, h, q, r)
-    return proj_oppf_step(ensemble, reduced, y, reduced.reduce_data(y), rng, config)

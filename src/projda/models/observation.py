@@ -41,15 +41,6 @@ class ObservationOperator:
         stop = state_dim if stop is None else stop
         return ObservationOperator(np.arange(start, stop, k), state_dim)
 
-    def matrix(self) -> np.ndarray:
-        h = np.zeros((self.data_dim, self.state_dim))
-        h[np.arange(self.data_dim), self.indices] = 1.0
-        return h
-
-    def pinv_matrix(self) -> np.ndarray:
-        """H^+ = H^T, exact for a row-subsampled identity."""
-        return self.matrix().T
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x along the last axis; works on states and row-stacked ensembles."""
         return np.asarray(x)[..., self.indices]

@@ -1,4 +1,4 @@
-"""Truth simulation and snapshot file storage.
+"""Snapshot file storage.
 
 Snapshot files hold raw little-endian float64 values, one state per record,
 with a JSON sidecar (same path + ".json") recording
@@ -12,51 +12,6 @@ import json
 import numpy as np
 
 from ..errors import ReductionError
-from ..numerics import NoiseSpec, RngStream
-
-
-def simulate_truth(model, x0, n_steps: int, q: NoiseSpec | None, rng, noise_on: bool = True):
-    """Run the stochastic model for n_steps observation cycles.
-
-    Each cycle applies the deterministic cycle map and, when noise_on, adds one
-    N(0, Q) draw. Returns an (n_steps + 1, M) array whose first row is x0.
-    Cycle t consumes substream rng.child(t), so trajectories are reproducible
-    and extendable.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dimension,):
-        raise ValueError(f"x0 has shape {x0.shape}, model dimension is {model.dimension}")
-    if noise_on and (q is None or q.dim != model.dimension):
-        raise ValueError("noise_on requires Q with the model dimension")
-    out = np.empty((n_steps + 1, model.dimension))
-    out[0] = x0
-    x = x0
-    for t in range(1, n_steps + 1):
-        x = model.cycle_map(x)
-        if noise_on and not q.is_zero:
-            x = x + q.sample(rng.child(t - 1).generator())
-        out[t] = x
-    return out
-
-
-def run_deterministic(model, x0, n_internal_steps: int, stride: int = 1):
-    """Noise-free trajectory at internal-step resolution, subsampled by stride.
-
-    Returns (n_internal_steps // stride + 1, M); row 0 is x0. Used to produce
-    training snapshots for basis construction.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n_records = n_internal_steps // stride + 1
-    out = np.empty((n_records, model.dimension))
-    out[0] = x0
-    x = x0
-    rec = 1
-    for step in range(1, n_internal_steps + 1):
-        x = model.step(x)
-        if step % stride == 0 and rec < n_records:
-            out[rec] = x
-            rec += 1
-    return out[:rec]
 
 
 def save_snapshots(path: str, states: np.ndarray, meta: dict):

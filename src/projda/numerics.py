@@ -94,17 +94,6 @@ def _check_finite(a: np.ndarray, name: str = "matrix"):
     return a
 
 
-def svd(a):
-    """Full-rank thin SVD: returns (left_vectors, singular_values, right_vectors)
-    with A = U diag(s) V^T, singular values descending."""
-    a = _check_finite(a, "svd input")
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"SVD did not converge: {exc}") from exc
-    return u, s, vt.T
-
-
 def qr_positive(a):
     """Reduced QR by modified Gram-Schmidt with a positive-diagonal convention.
 
@@ -135,38 +124,6 @@ def qr_positive(a):
             t[i, i + 1:] = coeffs
             q[:, i + 1:] -= np.outer(q[:, i], coeffs)
     return q, t
-
-
-def pseudoinverse(h):
-    """Moore-Penrose pseudoinverse of a full-row-rank matrix."""
-    h = _check_finite(h, "pseudoinverse input")
-    d = h.shape[0]
-    s = np.linalg.svd(h, compute_uv=False)
-    if s.size < d or s[d - 1] <= 1e-12 * max(s[0], 1e-300):
-        raise RankDeficiencyError(
-            f"pseudoinverse: matrix is not full row rank "
-            f"(smallest singular value {s[-1] if s.size else 0.0:.3e})"
-        )
-    return np.linalg.pinv(h)
-
-
-def eig_general(a):
-    """Eigendecomposition of a general square matrix.
-
-    Returns (eigenvalues, eigenvectors) with unit-norm eigenvector columns;
-    complex conjugate pairs of a real input appear adjacently.
-    """
-    a = _check_finite(a, "eig input")
-    if a.shape[0] != a.shape[1]:
-        raise NumericsError(f"eig_general needs a square matrix, got {a.shape}")
-    try:
-        w, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"eigendecomposition did not converge: {exc}") from exc
-    norms = np.linalg.norm(v, axis=0)
-    if np.any(norms == 0) or not np.all(np.isfinite(norms)):
-        raise NumericsError("eigendecomposition returned an invalid eigenvector")
-    return w, v / norms
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +225,3 @@ class NoiseSpec:
         c = self._chol()
         w = scipy.linalg.solve_triangular(c, v.T, lower=True)
         return np.sum(w * w, axis=0)
-
-
-def sample_gaussian(mean, cov: NoiseSpec, rng) -> np.ndarray:
-    """Draw mean + C xi with C the (cached) Cholesky factor of cov."""
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != (cov.dim,):
-        raise ValueError(f"mean has shape {mean.shape}, covariance dim is {cov.dim}")
-    return mean + cov.sample(rng)

@@ -69,12 +69,6 @@ class ReductionBasis:
             return z.copy()
         return z @ self.columns.T
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """U U^T x, the orthogonal projection onto the span."""
-        if self._identity:
-            return np.asarray(x, dtype=float).copy()
-        return self.reconstruct(self.reduce(x))
-
     def leading(self, r: int) -> "ReductionBasis":
         """Basis of the first r columns."""
         if r > self.rank:

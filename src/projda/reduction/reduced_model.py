@@ -70,11 +70,10 @@ class ReducedModel:
             self.h_q = data_basis.reduce(self.hu.T).T if not data_basis.is_identity else self.hu.copy()
             self._hv = None
         else:
-            # H V: row subsample of V, used for both y_hat = (HV)^T y and R^q
+            # H V: row subsample of V, used for y_hat = (HV)^T y, H^q and R^q;
+            # V^T H^+ H U = (HV)^T (HU) because H^+ = H^T
             self._hv = data_basis.columns[h.indices, :]
-            masked = np.zeros_like(basis_out.columns)
-            masked[h.indices, :] = basis_out.columns[h.indices, :]
-            self.h_q = data_basis.columns.T @ masked
+            self.h_q = self._hv.T @ self.hu
 
         self.q_q = conjugate_noise(q, basis_out)
 
@@ -142,8 +141,10 @@ class ReducedModel:
         """Projected resampling noise rows: U_out^T [a W W^T + (1-a) I] xi with
         xi ~ N(0, omega I_M); W is V lifted to the state space for data-based
         reductions."""
-        return smoothed_noise_rows(self.basis_out, self._jitter_cols, alpha,
-                                   omega, gen, count)
+        xi = np.sqrt(omega) * gen.standard_normal((count, self.state_dim))
+        w = self._jitter_cols
+        smoothed = alpha * ((xi @ w) @ w.T) + (1.0 - alpha) * xi
+        return self.basis_out.reduce(smoothed)
 
     # -- cached factorizations ------------------------------------------------
 
@@ -153,12 +154,10 @@ class ReducedModel:
         return self._proposal
 
     def weight_quad(self, nu_rows: np.ndarray) -> np.ndarray:
-        """nu^T (Z^q)^{-1} nu rowwise with Z^q = H^q Q^q H^q^T + R^q."""
+        """nu^T (Z^q)^{-1} nu rowwise; Z^q (zq_matrix) is factored once."""
         if self._zq_chol is None:
-            qh = self.q_q.cov_matrix() @ self.h_q.T
-            zq = self.h_q @ qh + self.r_q.cov_matrix()
             try:
-                self._zq_chol = scipy.linalg.cholesky(zq, lower=True)
+                self._zq_chol = scipy.linalg.cholesky(self.zq_matrix(), lower=True)
             except scipy.linalg.LinAlgError as exc:
                 raise NumericsError(f"weight matrix Z^q is singular: {exc}") from exc
         w = scipy.linalg.solve_triangular(self._zq_chol, np.asarray(nu_rows, dtype=float).T,
@@ -166,16 +165,9 @@ class ReducedModel:
         return np.sum(w * w, axis=0)
 
     def zq_matrix(self) -> np.ndarray:
+        """Z^q = H^q Q^q H^q^T + R^q, the covariance of the weighting innovation."""
         qh = self.q_q.cov_matrix() @ self.h_q.T
         return self.h_q @ qh + self.r_q.cov_matrix()
-
-
-def smoothed_noise_rows(u_basis: ReductionBasis, w_cols: np.ndarray, alpha: float,
-                        omega: float, gen: np.random.Generator, count: int) -> np.ndarray:
-    """(count, r_p) rows of U^T [a W W^T + (1-a) I] xi, xi ~ N(0, omega I_M)."""
-    xi = np.sqrt(omega) * gen.standard_normal((count, u_basis.state_dim))
-    smoothed = alpha * ((xi @ w_cols) @ w_cols.T) + (1.0 - alpha) * xi
-    return u_basis.reduce(smoothed)
 
 
 class OptimalProposal:

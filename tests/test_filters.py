@@ -11,23 +11,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projda.errors import DegenerateWeightsError, WeightCollapseError
+from projda.errors import DegenerateWeightsError, ReductionError, WeightCollapseError
 from projda.filters import (
     FilterConfig,
     ParticleEnsemble,
     _normalized_from_log,
     ess,
     initialize_ensemble,
-    oppf_step,
     proj_oppf_step,
     proj_pf_step,
-    projected_resample_noise,
-    standard_pf_step,
     systematic_resample,
 )
 from projda.models import L96Spec, ObservationOperator
 from projda.numerics import NoiseSpec, RngStream
-from projda.reduction import identity_basis, identity_reduced_model
+from projda.reduction import (
+    ReductionBasis,
+    build_reduced_model,
+    identity_basis,
+    identity_reduced_model,
+)
 
 
 class TestEss:
@@ -154,6 +156,28 @@ def _l96_setup(m=6, q_scale=0.1, r_scale=0.01, every=2):
     return model, h, q, r
 
 
+def _explicit_identity(model, h, q, r):
+    """Identity bases as plain matrices, so the reduced model runs its general
+    matmul arithmetic instead of the identity-kind shortcuts."""
+    def eye(n):
+        return ReductionBasis(np.eye(n), kind="pod", validate=False)
+
+    return build_reduced_model(model, h, q, r, u=eye(h.state_dim), v=eye(h.data_dim),
+                               kind="data")
+
+
+def _full_pf(e, model, h, q, r, y, rng, config=None):
+    """The full-space bootstrap filter: proj_pf_step with identity bases."""
+    red = identity_reduced_model(model, h, q, r)
+    return proj_pf_step(e, red, red.reduce_data(y), rng, config)
+
+
+def _full_oppf(e, model, h, q, r, y, rng, config=None):
+    """The full-space optimal-proposal filter: proj_oppf_step with identity bases."""
+    red = identity_reduced_model(model, h, q, r)
+    return proj_oppf_step(e, red, y, red.reduce_data(y), rng, config)
+
+
 def _spread_ensemble(model, n, scale, seed=3):
     x0 = model.default_state(RngStream(seed))
     for _ in range(200):
@@ -169,7 +193,7 @@ class TestBootstrapStep:
         e = _spread_ensemble(model, 4, 0.05)
         y = h.apply(model.cycle_map(e.particles[0])) + 0.05
         step_rng = RngStream(2).child(5, 1)
-        out = standard_pf_step(e, model, h, q, r, y, step_rng)
+        out = _full_pf(e, model, h, q, r, y, step_rng)
 
         # reference: same proposal draws, direct likelihood arithmetic
         fz = model.cycle_map(e.particles.T).T
@@ -207,8 +231,8 @@ class TestBootstrapStep:
         e = _spread_ensemble(model, 5, 0.02)
         y = h.apply(model.cycle_map(e.particles[1]))
         rng = RngStream(9).child(5, 3)
-        a = standard_pf_step(e, model, h, q, r, y, rng)
-        red = identity_reduced_model(model, h, q, r)
+        a = _full_pf(e, model, h, q, r, y, rng)
+        red = _explicit_identity(model, h, q, r)
         b = proj_pf_step(ParticleEnsemble(e.particles, e.weights), red,
                          red.reduce_data(y), rng)
         np.testing.assert_array_equal(a.particles, b.particles)
@@ -226,7 +250,7 @@ class TestOptimalProposalStep:
         e = _spread_ensemble(model, 4, 0.2)
         y = model.cycle_map(e.particles[2]) + 0.05
         cfg = FilterConfig(ess_threshold_fraction=1e-9)
-        out = oppf_step(e, model, h, q, r, y, RngStream(1).child(5, 1), cfg)
+        out = _full_oppf(e, model, h, q, r, y, RngStream(1).child(5, 1), cfg)
         fz = model.cycle_map(e.particles.T).T
         logw = -0.5 * np.sum((y - fz) ** 2, axis=1) / 0.11
         w = np.exp(logw - logw.max())
@@ -242,7 +266,7 @@ class TestOptimalProposalStep:
         y = model.cycle_map(e.particles[0]) + 0.1
         rng = RngStream(6).child(5, 4)
         cfg = FilterConfig(ess_threshold_fraction=1e-9)
-        out = oppf_step(e, model, h, q, r, y, rng, cfg)
+        out = _full_oppf(e, model, h, q, r, y, rng, cfg)
         fz = model.cycle_map(e.particles.T).T
         xi = np.stack([rng.child(l).generator().standard_normal(5) for l in range(3)])
         qp = 1.0 / (1.0 / qs + 1.0 / rs)
@@ -259,8 +283,8 @@ class TestOptimalProposalStep:
         x = model.default_state()
         e = ParticleEnsemble.uniform(np.vstack([x, x]))
         y = model.cycle_map(x) + 1.0
-        out = oppf_step(e, model, h, q, r, y, RngStream(3).child(5, 7),
-                        FilterConfig(ess_threshold_fraction=1e-9))
+        out = _full_oppf(e, model, h, q, r, y, RngStream(3).child(5, 7),
+                         FilterConfig(ess_threshold_fraction=1e-9))
         np.testing.assert_allclose(out.weights, [0.5, 0.5], atol=1e-14)
         assert not np.array_equal(out.particles[0], out.particles[1])
 
@@ -269,8 +293,8 @@ class TestOptimalProposalStep:
         e = _spread_ensemble(model, 5, 0.05)
         y = h.apply(model.cycle_map(e.particles[0])) + 0.02
         rng = RngStream(12).child(5, 9)
-        a = oppf_step(e, model, h, q, r, y, rng)
-        red = identity_reduced_model(model, h, q, r)
+        a = _full_oppf(e, model, h, q, r, y, rng)
+        red = _explicit_identity(model, h, q, r)
         b = proj_oppf_step(ParticleEnsemble(e.particles, e.weights), red, y,
                            red.reduce_data(y), rng)
         np.testing.assert_array_equal(a.particles, b.particles)
@@ -319,10 +343,11 @@ class TestResampling:
 
 
 class TestProjectedResampleNoise:
+    """ReducedModel.jitter_noise, the jitter every resampling step adds."""
+
     def test_identity_bases_are_scaled_white_noise(self):
-        rows = projected_resample_noise(identity_basis(4), identity_basis(4),
-                                        alpha=0.7, omega=0.04, rng=RngStream(3),
-                                        count=5)
+        red = identity_reduced_model(*_l96_setup(m=4, every=1))
+        rows = red.jitter_noise(RngStream(3).generator(), 5, omega=0.04, alpha=0.7)
         xi = 0.2 * RngStream(3).generator().standard_normal((5, 4))
         np.testing.assert_allclose(rows, xi, atol=1e-15)
 
@@ -331,28 +356,28 @@ class TestProjectedResampleNoise:
         u, _ = np.linalg.qr(rng.standard_normal((6, 3)))
         v, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         alpha, omega = 0.8, 0.09
-        rows = projected_resample_noise(u, v, alpha, omega, RngStream(5), count=3)
+        red = build_reduced_model(*_l96_setup(every=1), u=ReductionBasis(u, kind="pod"),
+                                  v=ReductionBasis(v, kind="pod"), kind="model")
+        rows = red.jitter_noise(RngStream(5).generator(), 3, omega, alpha)
         xi = 0.3 * RngStream(5).generator().standard_normal((3, 6))
         smoothed = alpha * (xi @ v) @ v.T + (1 - alpha) * xi
         np.testing.assert_allclose(rows, smoothed @ u, atol=1e-14)
 
     def test_zero_omega_is_silent(self):
-        out = projected_resample_noise(identity_basis(3), identity_basis(3),
-                                       alpha=0.5, omega=0.0, rng=RngStream(0))
-        np.testing.assert_array_equal(out, np.zeros(3))
-
-    def test_single_vector_default(self):
-        out = projected_resample_noise(identity_basis(3), identity_basis(3),
-                                       alpha=0.5, omega=1.0, rng=RngStream(1))
-        assert out.shape == (3,)
+        red = identity_reduced_model(*_l96_setup(m=4, every=1))
+        out = red.jitter_noise(RngStream(0).generator(), 2, omega=0.0, alpha=0.5)
+        np.testing.assert_array_equal(out, np.zeros((2, 4)))
 
     def test_validation(self):
+        # the data basis is checked when the reduced model is built, alpha and
+        # omega when the filter configuration is
+        model, h, q, r = _l96_setup(m=4, every=1)
+        with pytest.raises(ReductionError):
+            build_reduced_model(model, h, q, r, u=identity_basis(4), v=identity_basis(5))
         with pytest.raises(ValueError):
-            projected_resample_noise(identity_basis(3), identity_basis(4),
-                                     alpha=0.5, omega=1.0, rng=RngStream(0))
+            FilterConfig(resample_alpha=1.5)
         with pytest.raises(ValueError):
-            projected_resample_noise(identity_basis(3), identity_basis(3),
-                                     alpha=1.5, omega=1.0, rng=RngStream(0))
+            FilterConfig(resample_omega=-1.0)
 
 
 class TestFilterConfig:

@@ -329,6 +329,25 @@ class TestCliErrors:
         assert dispatch(["assimilate", "--config", str(ini)]) == 2
         assert "dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, reduction_extra, experiment_extra, argv", [
+        ("[reduction] aus_eps", "aus_eps = 0\naus_spinup = 8\n", "",
+         ["assimilate", "--kind", "aus"]),
+        ("[reduction] aus_spinup", "aus_spinup = 0\n", "", ["assimilate", "--kind", "aus"]),
+        ("[reduction] dmd_rank", "dmd_rank = -2\n", "", ["assimilate", "--kind", "dmd"]),
+        ("[experiment] lyapunov_qr_interval", "", "lyapunov_qr_interval = 0\n",
+         ["lyapunov"]),
+        ("[experiment] lyapunov_eps", "", "lyapunov_eps = 0\n", ["lyapunov"]),
+    ], ids=["aus_eps", "aus_spinup", "dmd_rank", "lyapunov_qr_interval", "lyapunov_eps"])
+    def test_out_of_range_key_exits_2_with_one_line(self, tmp_path, capsys, key,
+                                                    reduction_extra, experiment_extra,
+                                                    argv):
+        ini = _write_ini(tmp_path, reduction_extra=reduction_extra,
+                         experiment_extra="lyapunov_steps = 20\n" + experiment_extra)
+        out = str(tmp_path / "out.csv")
+        assert dispatch(argv + ["--config", ini, "--out", out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
+
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         ini = _write_ini(tmp_path)
         assert dispatch(["assimilate", "--config", ini, "--bogus"]) == 2

@@ -2,7 +2,6 @@
 
 Hand oracles:
 - qr_positive(diag(2, -3)) = (diag(1, -1), diag(2, 3))
-- pseudoinverse([[1, 1]]) = [[0.5], [0.5]]
 - quad of v=(1,0) under cov [[2,1],[1,2]] is 2/3 (inverse is (1/3)[[2,-1],[-1,2]])
 """
 
@@ -11,15 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projda.errors import NumericsError, RankDeficiencyError
-from projda.numerics import (
-    NoiseSpec,
-    RngStream,
-    eig_general,
-    pseudoinverse,
-    qr_positive,
-    sample_gaussian,
-    svd,
-)
+from projda.numerics import NoiseSpec, RngStream, qr_positive
 
 
 class TestRngStream:
@@ -77,43 +68,6 @@ class TestFactorizations:
     def test_qr_positive_wide_rejected(self):
         with pytest.raises(RankDeficiencyError):
             qr_positive(np.ones((2, 4)))
-
-    def test_svd_matches_numpy(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((6, 4))
-        u, s, v = svd(a)
-        np.testing.assert_allclose(u @ np.diag(s) @ v.T, a, atol=1e-12)
-        np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False), atol=1e-12)
-        assert np.all(np.diff(s) <= 0)
-
-    def test_svd_rejects_nonfinite(self):
-        with pytest.raises(NumericsError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_pseudoinverse_hand_oracle(self):
-        hp = pseudoinverse(np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(hp, [[0.5], [0.5]], atol=1e-14)
-
-    def test_pseudoinverse_right_inverse(self):
-        rng = np.random.default_rng(11)
-        h = rng.standard_normal((3, 7))
-        hp = pseudoinverse(h)
-        np.testing.assert_allclose(h @ hp, np.eye(3), atol=1e-10)
-
-    def test_pseudoinverse_row_deficient(self):
-        with pytest.raises(RankDeficiencyError):
-            pseudoinverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_eig_general_rotation(self):
-        # rotation by 90 degrees has eigenvalues +-i
-        w, v = eig_general(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(sorted(w.imag), [-1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(w.real, 0.0, atol=1e-14)
-        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-14)
-
-    def test_eig_general_rejects_rectangular(self):
-        with pytest.raises(NumericsError):
-            eig_general(np.ones((2, 3)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,10 +141,6 @@ class TestNoiseSpec:
             NoiseSpec.dense(np.array([[np.inf, 0.0], [0.0, 1.0]]))
         with pytest.raises(NumericsError):
             NoiseSpec.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))._chol()
-
-    def test_sample_gaussian_shape_check(self):
-        with pytest.raises(ValueError):
-            sample_gaussian(np.zeros(3), NoiseSpec.scaled_identity(2, 1.0), RngStream(0))
 
 
 @settings(max_examples=40, deadline=None)
