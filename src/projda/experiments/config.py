@@ -10,7 +10,7 @@ Sections and keys:
 [reduction]    kind (identity|pod|dmd|aus), r_p, r_d, data_reduction
                (model|data), training_steps, training_stride, snapshot_file,
                basis_file, dmd_rank, aus_eps, aus_spinup
-[filter]       kind (pf|oppf|non|projpf|projoppf), n_particles, ess_threshold,
+[filter]       kind (pf|oppf|projpf|projoppf), n_particles, ess_threshold,
                resample_alpha, resample_omega
 [experiment]   n_observations, burn_in, trials, base_seed, truth_noise,
                sweep_r_p, sweep_r_d, sweep_forcing, sweep_q_scale,
@@ -34,15 +34,15 @@ from ..filters import FilterConfig
 from ..models import L96Spec, ObservationOperator, SWESpec
 
 _MODEL_KINDS = ("l96", "swe")
-_FILTER_KINDS = ("pf", "oppf", "non", "projpf", "projoppf")
+_FILTER_KINDS = ("pf", "oppf", "projpf", "projoppf")
 _REDUCTION_KINDS = ("identity", "pod", "dmd", "aus")
 _DATA_REDUCTIONS = ("model", "data")
 _SCENARIOS_SWE = ("uv", "all", "h")
 
 # filter kinds that run in the full state space through identity bases
-FULL_SPACE_FILTERS = ("pf", "oppf", "non")
+FULL_SPACE_FILTERS = ("pf", "oppf")
 # filter kinds that draw from the optimal proposal
-OPTIMAL_PROPOSAL_FILTERS = ("oppf", "non", "projoppf")
+OPTIMAL_PROPOSAL_FILTERS = ("oppf", "projoppf")
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class ExperimentConfig:
             raise bad("noise", "q_scale", "optimal-proposal filters need nonzero model noise")
         if self.r_scale == 0:
             raise bad("noise", "r_scale", "observation noise must be positive")
-        if not self.uses_identity_reduction and self.reduction_kind != "identity":
+        if not self.uses_identity_reduction:
             if self.r_p < 1 or self.r_d < 1:
                 raise bad("reduction", "r_p/r_d", "must be positive")
             if self.data_reduction == "model" and self.r_d > self.r_p:
@@ -212,10 +212,21 @@ class ExperimentConfig:
         # constructing the component objects surfaces their own errors early
         try:
             model = self.build_model()
-            self.build_observation(model)
+            h = self.build_observation(model)
             self.filter_config()
         except (ValueError, ConfigError) as exc:
             raise ConfigError(str(exc)) from exc
+        # a swept rank is never run at its base value; each sweep point is
+        # checked on its own when sweep_points builds it
+        if not self.uses_identity_reduction:
+            if self.r_p > model.dimension and not self.sweep_r_p:
+                raise bad("reduction", "r_p",
+                          f"{self.r_p} exceeds the state dimension {model.dimension}")
+            if (self.data_reduction == "data" and self.r_d > h.data_dim
+                    and not (self.sweep_r_d or self.sweep_scenario)):
+                raise bad("reduction", "r_d",
+                          f"data-based reduction needs r_d <= the {h.data_dim} observed "
+                          f"components, got {self.r_d}")
         return self
 
 

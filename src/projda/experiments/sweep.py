@@ -14,9 +14,11 @@ the sweep tests check this at shapes where OpenBLAS runs threaded.
 
 Within one process, trials that start from the same state with the same
 spin-up inputs (the same trial at different r_p or r_d, say) walk the truth
-once: the first walk is kept for the rest of the sweep. Which worker draws
-which trial varies from run to run, so under several workers the reuse is
-partial; the results never depend on it.
+once: the first walk is kept for the rest of the sweep. Under several workers
+a sweep hands out whole trials (all points of one trial, one walk) as long as
+every worker gets one; only the trials left over from an even share are split
+point by point among the workers, so that no worker idles while another runs
+a trial alone. The results never depend on it.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ def _run_task(args, spin_ups: dict | None = None):
 
 def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
     """All trials of a single configuration, in trial order."""
-    tasks = [(0, t, config) for t in range(config.trials)]
-    results = _execute(tasks, *_pool_shape(jobs, len(tasks)))
+    chunks = [[(0, t, config)] for t in range(config.trials)]
+    results = _execute(chunks, *_pool_shape(jobs, config.trials))
     return [results[(0, t)] for t in range(config.trials)]
 
 
@@ -148,19 +150,41 @@ def _init_worker(blas_threads: int | None):
         _limit_blas_threads(blas_threads)
 
 
-def _execute(tasks, workers: int, blas_threads: int | None) -> dict:
+def _run_chunk(chunk):
+    return [_run_task(task) for task in chunk]
+
+
+def _execute(chunks, workers: int, blas_threads: int | None) -> dict:
+    """Run lists of (point, trial, config) tasks; a pool worker takes one list
+    at a time."""
     results = {}
     if workers == 1:
         spin_ups = {}
-        for task in tasks:
-            p, t, rec = _run_task(task, spin_ups)
-            results[(p, t)] = rec
+        for chunk in chunks:
+            for task in chunk:
+                p, t, rec = _run_task(task, spin_ups)
+                results[(p, t)] = rec
         return results
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(blas_threads,)) as pool:
-        for p, t, rec in pool.map(_run_task, tasks, chunksize=1):
-            results[(p, t)] = rec
+        for done in pool.map(_run_chunk, chunks):
+            for p, t, rec in done:
+                results[(p, t)] = rec
     return results
+
+
+def _trial_chunks(n_points: int, n_trials: int, workers: int) -> list[list[tuple]]:
+    """(point, trial) pairs grouped for the pool. The first trials, as many as
+    share evenly among the workers, go out whole, one chunk per trial; each
+    trial left over is split, point-strided, into enough chunks to give every
+    worker some of the remainder."""
+    whole = n_trials - n_trials % workers
+    chunks = [[(p, t) for p in range(n_points)] for t in range(whole)]
+    if whole < n_trials:
+        pieces = min(n_points, -(-workers // (n_trials - whole)))
+        chunks += [[(p, t) for p in range(k, n_points, pieces)]
+                   for t in range(whole, n_trials) for k in range(pieces)]
+    return chunks
 
 
 def summarize(config: ExperimentConfig, records: list[MetricsRecord]) -> SummaryRow:
@@ -183,12 +207,13 @@ def summarize(config: ExperimentConfig, records: list[MetricsRecord]) -> Summary
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
     points = sweep_points(config)
-    tasks = [(p, t, cfg) for p, cfg in enumerate(points) for t in range(cfg.trials)]
-    workers, blas_threads = _pool_shape(jobs, len(tasks))
+    workers, blas_threads = _pool_shape(jobs, len(points) * config.trials)
+    chunks = [[(p, t, points[p]) for p, t in chunk]
+              for chunk in _trial_chunks(len(points), config.trials, workers)]
     logger.info("sweep: %d points x %d trials, %d worker(s), BLAS threads per worker: %s",
                 len(points), config.trials, workers,
                 "library default" if blas_threads is None else blas_threads)
-    results = _execute(tasks, workers, blas_threads)
+    results = _execute(chunks, workers, blas_threads)
     rows = []
     for p, cfg in enumerate(points):
         records = [results[(p, t)] for t in range(cfg.trials)]

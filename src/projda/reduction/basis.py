@@ -17,10 +17,11 @@ from ..models.simulate import read_raw_file
 class ReductionBasis:
     """Matrix U with orthonormal columns mapping reduced coordinates to states.
 
-    reduce(x) = U^T x, reconstruct(z) = U z. kind is one of
-    {pod, dmd, aus, identity}; the identity kind short-circuits both maps so the
-    unprojected filters share the projected code path at zero cost.
+    reduce(x) = U^T x, reconstruct(z) = U z. kind names the method that built
+    U (pod, dmd, aus); identity_basis gives the identity without a matrix.
     """
+
+    is_identity = False
 
     def __init__(self, columns: np.ndarray, kind: str, time_dependent: bool = False,
                  validate: bool = True):
@@ -41,7 +42,6 @@ class ReductionBasis:
         self.columns = u
         self.kind = kind
         self.time_dependent = bool(time_dependent)
-        self._identity = kind == "identity"
 
     @property
     def state_dim(self) -> int:
@@ -51,23 +51,13 @@ class ReductionBasis:
     def rank(self) -> int:
         return self.columns.shape[1]
 
-    @property
-    def is_identity(self) -> bool:
-        return self._identity
-
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """U^T x along the last axis."""
-        x = np.asarray(x, dtype=float)
-        if self._identity:
-            return x.copy()
-        return x @ self.columns
+        return np.asarray(x, dtype=float) @ self.columns
 
     def reconstruct(self, z: np.ndarray) -> np.ndarray:
         """U z along the last axis."""
-        z = np.asarray(z, dtype=float)
-        if self._identity:
-            return z.copy()
-        return z @ self.columns.T
+        return np.asarray(z, dtype=float) @ self.columns.T
 
     def leading(self, r: int) -> "ReductionBasis":
         """Basis of the first r columns."""
@@ -79,8 +69,39 @@ class ReductionBasis:
                               time_dependent=self.time_dependent, validate=False)
 
 
+class _IdentityBasis(ReductionBasis):
+    """U = I held as its dimension alone, so the unprojected filters share the
+    projected code path at no cost: both maps copy their input, and the matrix
+    is built only when columns is read."""
+
+    is_identity = True
+
+    def __init__(self, dim: int):
+        self.kind = "identity"
+        self.time_dependent = False
+        self._dim = int(dim)
+
+    @property
+    def columns(self) -> np.ndarray:
+        return np.eye(self._dim)
+
+    @property
+    def state_dim(self) -> int:
+        return self._dim
+
+    @property
+    def rank(self) -> int:
+        return self._dim
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float).copy()
+
+    def reconstruct(self, z: np.ndarray) -> np.ndarray:
+        return np.asarray(z, dtype=float).copy()
+
+
 def identity_basis(dim: int) -> ReductionBasis:
-    return ReductionBasis(np.eye(dim), kind="identity", validate=False)
+    return _IdentityBasis(dim)
 
 
 def save_basis(path: str, basis: ReductionBasis, source_snapshot_file: str = "",

@@ -10,7 +10,11 @@ covariance Q^q = U_out^T Q U_out. The data model comes in two kinds:
   y_hat = V^T y, H^q = V^T H U, R^q = V^T R V.
 
 Identity bases make every map collapse to the unprojected filter exactly, so
-the unprojected and projected algorithms share one code path.
+the unprojected and projected algorithms share one code path. That path holds
+no M x M matrix: the identity basis is its dimension alone, its observed rows
+HU are the d x M row selection H, and with U_out = I and scalar Q and R the
+proposal precision is diagonal, so OptimalProposal keeps the diagonal as its
+factor (see there).
 """
 
 from __future__ import annotations
@@ -31,6 +35,15 @@ def conjugate_noise(noise: NoiseSpec, basis: ReductionBasis) -> NoiseSpec:
     if noise.is_scalar:
         return NoiseSpec.scaled_identity(basis.rank, noise.scale)
     return NoiseSpec.dense(basis.columns.T @ noise.matrix @ basis.columns)
+
+
+def _observed_rows(basis: ReductionBasis, h: ObservationOperator) -> np.ndarray:
+    """H B, the observed rows of a basis; for the identity, the selection H."""
+    if not basis.is_identity:
+        return basis.columns[h.indices, :]
+    rows = np.zeros((h.data_dim, basis.rank))
+    rows[np.arange(h.data_dim), h.indices] = 1.0
+    return rows
 
 
 class ReducedModel:
@@ -63,7 +76,7 @@ class ReducedModel:
         self.data_kind = data_kind
 
         # H U_out: a row subsample of the outgoing basis, exact (no matmul)
-        self.hu = basis_out.columns[h.indices, :]
+        self.hu = _observed_rows(basis_out, h)
 
         # reduced data operator H^q (r_d x r_p)
         if data_kind == "data":
@@ -72,7 +85,7 @@ class ReducedModel:
         else:
             # H V: row subsample of V, used for y_hat = (HV)^T y, H^q and R^q;
             # V^T H^+ H U = (HV)^T (HU) because H^+ = H^T
-            self._hv = data_basis.columns[h.indices, :]
+            self._hv = _observed_rows(data_basis, h)
             self.h_q = self._hv.T @ self.hu
 
         self.q_q = conjugate_noise(q, basis_out)
@@ -166,28 +179,51 @@ class ReducedModel:
 
     def zq_matrix(self) -> np.ndarray:
         """Z^q = H^q Q^q H^q^T + R^q, the covariance of the weighting innovation."""
-        qh = self.q_q.cov_matrix() @ self.h_q.T
+        if self.q_q.is_scalar:
+            # the values and memory order (q I) @ H^q^T has, without q I
+            qh = self.q_q.scale * np.ascontiguousarray(self.h_q.T)
+        else:
+            qh = self.q_q.matrix @ self.h_q.T
         return self.h_q @ qh + self.r_q.cov_matrix()
 
 
 class OptimalProposal:
     """Gaussian proposal of the optimal-proposal update in reduced coordinates.
 
-    Precision A = (Q^q)^{-1} + (HU)^T R^{-1} (HU) is factored once; sampling
-    uses delta = L^{-T} xi and the mean shift solves A delta = (HU)^T R^{-1}
-    (y - HU f^q(z)).
+    Precision A = (Q^q)^{-1} + (HU)^T R^{-1} (HU) is factored once, A = L L^T;
+    sampling uses delta = L^{-T} xi and the mean shift solves A delta =
+    (HU)^T R^{-1} (y - HU f^q(z)).
+
+    When U_out is the identity and Q and R are scalar, A is the diagonal
+    a = 1/q + [i observed]/r and L = diag(sqrt(a)), so only the vector
+    1/sqrt(a) is kept: the mean shift is (rhs / sqrt(a)) / sqrt(a) and a draw
+    is xi / sqrt(a), each division a product with that reciprocal, which is how
+    OpenBLAS triangular solves apply a diagonal pivot, so under OpenBLAS the
+    results equal the dense factor's; a BLAS whose solves divide by the pivot
+    (the reference BLAS does) gives results that differ in the last bits.
+    (OpenBLAS solves a single right-hand side in sample_delta by dividing, so
+    a one-particle draw can differ from the dense route's in the last bit.)
     """
 
     def __init__(self, reduced: ReducedModel):
         hu = reduced.hu
-        r_p = reduced.reduced_dim
-        if reduced.q_q.is_zero:
+        q_q, r = reduced.q_q, reduced.r
+        if q_q.is_zero:
             raise NumericsError("optimal proposal requires a nonzero model noise Q")
-        if reduced.q_q.is_scalar:
-            a = np.eye(r_p) / reduced.q_q.scale
+        if r.is_zero:
+            raise NumericsError("optimal proposal requires a nonzero observation noise R")
+        self._rinv_hu = r.solve(hu.T).T if not r.is_scalar else hu / r.scale
+        self._chol = self._inv_sqrt_a = None
+        if reduced.basis_out.is_identity and q_q.is_scalar and r.is_scalar:
+            # the diagonal of I/q + H^T H/r, summed as the dense route sums it
+            a = np.full(reduced.reduced_dim, 1.0 / q_q.scale)
+            a[reduced.h.indices] += 1.0 / r.scale
+            self._inv_sqrt_a = 1.0 / np.sqrt(a)
+            return
+        if q_q.is_scalar:
+            a = np.eye(reduced.reduced_dim) / q_q.scale
         else:
-            a = scipy.linalg.cho_solve((reduced.q_q._chol(), True), np.eye(r_p))
-        self._rinv_hu = reduced.r.solve(hu.T).T if not reduced.r.is_scalar else hu / reduced.r.scale
+            a = scipy.linalg.cho_solve((q_q._chol(), True), np.eye(reduced.reduced_dim))
         a = a + hu.T @ self._rinv_hu
         try:
             self._chol = scipy.linalg.cholesky(a, lower=True)
@@ -197,14 +233,20 @@ class OptimalProposal:
     def mean_shift(self, resid_rows: np.ndarray) -> np.ndarray:
         """Q_p (HU)^T R^{-1} resid, rowwise over (count, d) residuals."""
         rhs = resid_rows @ self._rinv_hu
+        if self._chol is None:
+            return (rhs * self._inv_sqrt_a) * self._inv_sqrt_a
         return scipy.linalg.cho_solve((self._chol, True), rhs.T).T
 
     def sample_delta(self, xi_rows: np.ndarray) -> np.ndarray:
         """Draws of N(0, Q_p) from standard-normal rows: L^{-T} xi."""
+        if self._chol is None:
+            return xi_rows * self._inv_sqrt_a
         return scipy.linalg.solve_triangular(self._chol.T, xi_rows.T, lower=False).T
 
     def covariance(self) -> np.ndarray:
         """Dense Q_p, mainly for verification."""
+        if self._chol is None:
+            return np.diag(self._inv_sqrt_a * self._inv_sqrt_a)
         n = self._chol.shape[0]
         return scipy.linalg.cho_solve((self._chol, True), np.eye(n))
 

@@ -6,6 +6,10 @@ and neither depends on worker count or on whether snapshots come from a file
 or are regenerated.
 """
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -36,15 +40,15 @@ def _blas_threads():
     return [get() for get in sweep._openblas_entry_points("get")]
 
 
-def _report_blas_threads(task):
-    return task[0], task[1], _blas_threads()
+def _report_blas_threads(chunk):
+    return [(p, t, _blas_threads()) for p, t, _ in chunk]
 
 
 def _worker_blas_threads(monkeypatch, jobs):
     """Thread counts each OpenBLAS reports inside the sweep executor's workers."""
-    monkeypatch.setattr(sweep, "_run_task", _report_blas_threads)
-    tasks = [(0, t, None) for t in range(4 * jobs)]
-    results = sweep._execute(tasks, *sweep._pool_shape(jobs, len(tasks)))
+    monkeypatch.setattr(sweep, "_run_chunk", _report_blas_threads)
+    chunks = [[(0, t, None)] for t in range(4 * jobs)]
+    results = sweep._execute(chunks, *sweep._pool_shape(jobs, len(chunks)))
     return {n for counts in results.values() for n in counts}
 
 
@@ -108,6 +112,11 @@ class TestConfig:
         cfg = _tiny()
         with pytest.raises(ConfigError):
             replace(cfg, r_scale=-1.0)
+
+    def test_non_filter_kind_is_rejected_naming_oppf(self):
+        # "non" was another name for the full-space optimal-proposal filter
+        with pytest.raises(ConfigError, match="oppf"):
+            _tiny(filter_kind="non")
 
     def test_identity_reduction_allowed_for_projected_filters(self):
         cfg = _tiny(filter_kind="projoppf", reduction_kind="identity")
@@ -219,14 +228,14 @@ class TestRunTrial:
         np.testing.assert_array_equal(b.resampled[:5], a.resampled)
 
     def test_identity_projection_equals_unprojected(self):
-        non = run_trial(_tiny(filter_kind="non"), 0)
+        full = run_trial(_tiny(filter_kind="oppf"), 0)
         proj = run_trial(_tiny(filter_kind="projoppf", reduction_kind="identity"), 0)
-        np.testing.assert_array_equal(non.rmse, proj.rmse)
-        np.testing.assert_array_equal(non.ess, proj.ess)
-        np.testing.assert_array_equal(non.resampled, proj.resampled)
+        np.testing.assert_array_equal(full.rmse, proj.rmse)
+        np.testing.assert_array_equal(full.ess, proj.ess)
+        np.testing.assert_array_equal(full.resampled, proj.resampled)
 
     def test_all_filter_reduction_combinations_run(self):
-        combos = [("pf", "identity"), ("oppf", "identity"), ("non", "identity"),
+        combos = [("pf", "identity"), ("oppf", "identity"),
                   ("projpf", "pod"), ("projoppf", "pod"), ("projoppf", "dmd"),
                   ("projoppf", "aus")]
         for fk, rk in combos:
@@ -349,6 +358,44 @@ class TestSpinUpSharing:
         write_summary_csv(paths[0], serial, cfg.model_kind)
         write_summary_csv(paths[1], run_sweep(cfg, jobs=2), cfg.model_kind)
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+    def test_pool_workers_walk_each_trial_once(self, monkeypatch, tmp_path):
+        """4 trials share evenly between 2 workers, so each goes out whole and
+        is walked once. The patched walker reaches the workers only if they
+        are forked (forkserver and spawn workers import the module afresh), so
+        the pool is asked for fork rather than the platform's default."""
+        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", trials=4,
+                    sweep_r_p=(2, 3, 4))
+        log = tmp_path / "walks.txt"
+        walk = trial_module._spin_up
+
+        def logged(model, x0, *args):
+            with open(log, "a") as fh:
+                fh.write(x0.tobytes().hex() + "\n")
+            return walk(model, x0, *args)
+
+        monkeypatch.setattr(trial_module, "_spin_up", logged)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        run_sweep(cfg, jobs=2)
+        starts = log.read_text().splitlines()
+        assert len(starts) == len(set(starts)) == cfg.trials
+
+    @pytest.mark.parametrize("points, trials, workers, expected", [
+        (3, 4, 2, [[0, 1, 2]] * 4),
+        # the fifth trial is split so that both workers get half of it
+        (4, 5, 2, [[0, 1, 2, 3]] * 4 + [[0, 2], [1, 3]]),
+        (4, 1, 2, [[0, 2], [1, 3]]),
+        (2, 1, 3, [[0], [1]]),
+        (3, 5, 1, [[0, 1, 2]] * 5),
+    ])
+    def test_pool_chunks_hold_whole_trials_while_they_share_evenly(
+            self, points, trials, workers, expected):
+        chunks = sweep._trial_chunks(points, trials, workers)
+        assert [[p for p, _ in chunk] for chunk in chunks] == expected
+        assert all(len({t for _, t in chunk}) == 1 for chunk in chunks)
+        pairs = sorted(pair for chunk in chunks for pair in chunk)
+        assert pairs == [(p, t) for p in range(points) for t in range(trials)]
 
     def test_every_spin_up_input_is_in_the_key(self, monkeypatch):
         cfg = _tiny(filter_kind="projoppf", reduction_kind="pod")

@@ -7,6 +7,8 @@ Hand oracles:
   the innovation and the proposal noise scale is sqrt((1/q + 1/r)^{-1}).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from projda.filters import (
     proj_pf_step,
     systematic_resample,
 )
-from projda.models import L96Spec, ObservationOperator
+from projda.models import L96Spec, ObservationOperator, SWESpec, observe
 from projda.numerics import NoiseSpec, RngStream
 from projda.reduction import (
     ReductionBasis,
@@ -299,6 +301,90 @@ class TestOptimalProposalStep:
                            red.reduce_data(y), rng)
         np.testing.assert_array_equal(a.particles, b.particles)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+class TestFullSpaceWithoutDenseMatrices:
+    """identity_reduced_model at the shallow-water shape: M = 3,072 states, every
+    100th observed. Its optimal proposal keeps a diagonal factor and Z^q skips
+    q I; the explicit-identity route keeps the dense algebra and is the oracle.
+
+    Bit equality with the oracle assumes a BLAS whose triangular solves with
+    several right-hand sides multiply by the reciprocal of each pivot, as
+    OpenBLAS (the numpy and scipy wheels' BLAS) does; the failure messages name
+    the BLAS scipy loaded."""
+
+    def test_swe_shape_matches_dense_route_bit_for_bit(self, scipy_blas):
+        model = SWESpec(nx=64, ny=16)
+        m = model.dimension
+        h = ObservationOperator.every_kth(m, 100)
+        q = NoiseSpec.scaled_identity(m, 0.1)
+        r = NoiseSpec.scaled_identity(h.data_dim, 0.01)
+        diagonal = identity_reduced_model(model, h, q, r)
+        dense = _explicit_identity(model, h, q, r)
+        rng = RngStream(31)
+        x = model.default_jet_state(jet_speed=5.0, jet_width=80000.0,
+                                    perturb_amplitude=0.5)
+        ens_d = ens_o = initialize_ensemble(x, q, 5, rng.child(0))
+        cfg = FilterConfig(ess_threshold_fraction=1.0)  # resample every step
+        resampled = []
+        for t in range(1, 4):
+            x = model.cycle_map(x)
+            y = observe(x, h, r, rng.child(1, t))
+            ens_d = proj_oppf_step(ens_d, diagonal, y, diagonal.reduce_data(y),
+                                   rng.child(2, t), cfg)
+            ens_o = proj_oppf_step(ens_o, dense, y, dense.reduce_data(y),
+                                   rng.child(2, t), cfg)
+            blas = f"step {t}, scipy BLAS {scipy_blas}"
+            np.testing.assert_array_equal(ens_d.particles, ens_o.particles, err_msg=blas)
+            np.testing.assert_array_equal(ens_d.weights, ens_o.weights, err_msg=blas)
+            assert ens_d.last_ess == ens_o.last_ess, blas
+            resampled.append(ens_d.last_resampled)
+        assert all(resampled)
+        zq = diagonal.zq_matrix()
+        np.testing.assert_array_equal(zq, dense.zq_matrix())
+        h_q = dense.h_q
+        np.testing.assert_array_equal(zq, h_q @ (q.cov_matrix() @ h_q.T) + r.cov_matrix())
+
+    def test_one_particle_matches_dense_route_to_rounding(self):
+        # a single right-hand side makes the dense route's draw a trsv, which
+        # OpenBLAS applies by dividing by the pivot where the diagonal route
+        # multiplies by its reciprocal: equal to rounding, not bit for bit
+        model = L96Spec(dimension=40)
+        h = ObservationOperator.every_kth(40, 4)
+        q = NoiseSpec.scaled_identity(40, 0.1)
+        r = NoiseSpec.scaled_identity(h.data_dim, 0.01)
+        diagonal = identity_reduced_model(model, h, q, r)
+        dense = _explicit_identity(model, h, q, r)
+        rng = RngStream(5)
+        x = model.default_state(rng.child(0))
+        ens_d = ens_o = initialize_ensemble(x, q, 1, rng.child(1))
+        for t in range(1, 4):
+            x = model.cycle_map(x)
+            y = observe(x, h, r, rng.child(2, t))
+            ens_d = proj_oppf_step(ens_d, diagonal, y, diagonal.reduce_data(y),
+                                   rng.child(3, t))
+            ens_o = proj_oppf_step(ens_o, dense, y, dense.reduce_data(y), rng.child(3, t))
+            np.testing.assert_allclose(ens_d.particles, ens_o.particles, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(ens_d.weights, ens_o.weights)
+
+    def test_holds_no_state_sized_matrix(self):
+        m = 3072
+        model = L96Spec(dimension=m)
+        h = ObservationOperator.every_kth(m, 100)
+        q = NoiseSpec.scaled_identity(m, 0.1)
+        r = NoiseSpec.scaled_identity(h.data_dim, 0.01)
+        x = model.default_state(RngStream(1))
+        ens = initialize_ensemble(x, q, 5, RngStream(2))
+        y = h.apply(model.cycle_map(x))
+        tracemalloc.start()
+        try:
+            red = identity_reduced_model(model, h, q, r)
+            proj_oppf_step(ens, red, y, red.reduce_data(y), RngStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 3,072 x 3,072 float64 matrix alone is 72 MiB
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestResampling:

@@ -300,6 +300,22 @@ class TestCliSweep:
         assert [row.split(",")[0] for row in lines[1:]] == ["4", "6"]
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    @pytest.mark.parametrize("reduction_extra, experiment_extra, rank", [
+        ("", "sweep_r_p = 4, 6\n", ["--r", "9"]),
+        ("data_reduction = data\n", "sweep_r_d = 2, 3\n", ["--rd", "9"]),
+    ], ids=["r_p", "r_d"])
+    def test_swept_rank_ignores_an_out_of_range_base_value(
+            self, tmp_path, capsys, reduction_extra, experiment_extra, rank):
+        # the base rank exceeds the 8 states (or 8 observed components), but a
+        # sweep runs only its own values
+        ini = _write_ini(tmp_path, trials=1, reduction_extra=reduction_extra,
+                         experiment_extra=experiment_extra)
+        out = str(tmp_path / "summary.csv")
+        assert dispatch(["sweep", "--config", ini, "--out", out] + rank) == 0
+        capsys.readouterr()
+        rows = open(out).read().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["0", "0"]
+
 
 class TestCliLyapunov:
     def test_spectrum_and_csv(self, tmp_path, capsys):
@@ -337,7 +353,14 @@ class TestCliErrors:
         ("[experiment] lyapunov_qr_interval", "", "lyapunov_qr_interval = 0\n",
          ["lyapunov"]),
         ("[experiment] lyapunov_eps", "", "lyapunov_eps = 0\n", ["lyapunov"]),
-    ], ids=["aus_eps", "aus_spinup", "dmd_rank", "lyapunov_qr_interval", "lyapunov_eps"])
+        # ranks above the state (8) or observed (8) dimension used to pass the
+        # loader and then fail every trial
+        ("[reduction] r_p", "", "", ["assimilate", "--r", "9"]),
+        ("[reduction] r_p", "", "sweep_r_p = 4, 9\n", ["sweep"]),
+        ("[reduction] r_d", "data_reduction = data\n", "", ["assimilate", "--rd", "9"]),
+        ("[reduction] r_d", "data_reduction = data\n", "sweep_r_d = 2, 9\n", ["sweep"]),
+    ], ids=["aus_eps", "aus_spinup", "dmd_rank", "lyapunov_qr_interval", "lyapunov_eps",
+            "r_p_assimilate", "r_p_sweep", "r_d_assimilate", "r_d_sweep"])
     def test_out_of_range_key_exits_2_with_one_line(self, tmp_path, capsys, key,
                                                     reduction_extra, experiment_extra,
                                                     argv):

@@ -420,6 +420,14 @@ class TestOptimalProposal:
         np.testing.assert_allclose(prop.mean_shift(resid), resid @ (qp @ hu.T @ rinv).T,
                                    atol=1e-12)
 
+    def test_zero_observation_noise_rejected(self):
+        model = L96Spec(dimension=4)
+        h = ObservationOperator.identity(4)
+        red = identity_reduced_model(model, h, NoiseSpec.scaled_identity(4, 0.1),
+                                     NoiseSpec.scaled_identity(4, 0.0))
+        with pytest.raises(NumericsError, match="observation noise"):
+            red.optimal_proposal()
+
     def test_zero_process_noise_rejected(self):
         model = L96Spec(dimension=4)
         h = ObservationOperator.identity(4)
