@@ -8,6 +8,10 @@ linear bottom friction are applied as a first-order source split on velocities.
 
 The flat state vector is [u; v; h] with each field flattened in row-major
 (y, x) order, so the state dimension is M = 3 * nx * ny.
+
+A step of k columns runs every stage into the buffers of one step plan per
+(spec, k), built on first use and kept for the life of the process; each step
+returns a fresh array, and steps of one shape must not overlap (no threads).
 """
 
 from __future__ import annotations
@@ -77,93 +81,26 @@ class SWESpec:
     def step(self, state: np.ndarray) -> np.ndarray:
         """One internal step; accepts (M,) or a batch of column states (M, k).
 
-        A single state is stepped as a batch of one. A batch comes back as a
-        C-ordered (M, k) array whatever the memory order of the input.
+        A single state is stepped as a batch of one. The result is a fresh
+        C-ordered array, (M,) or (M, k) whatever the memory order of the
+        input, which callers may keep. Every intermediate lives in the plan of
+        this spec and k (`_plan`), built on the first step of that shape and
+        reused after, so beyond the array it returns a step allocates only the
+        small temporaries of its checks. The plan makes the step
+        non-re-entrant: two steps of one shape must not run at the same time
+        in one process (projda runs no threads; sweep workers are processes).
         """
         state = np.asarray(state, dtype=float)
         batched = state.ndim == 2
         cols = state if batched else state[:, None]
         k = cols.shape[1]
-        nx, ny = self.nx, self.ny
-        g = self.gravity
-        lx = self.dt / self.dx
-        ly = self.dt / self.dy
-
-        # The fields of all columns are stacked as (field, column, ny+2, nx+2)
-        # ghost-padded grids and flattened, so the x neighbour of flat cell p
-        # is p+1 and its y neighbour p+w. Each stage runs over the whole flat
-        # buffer; the interior cells of every grid lie in [lo, end). Cells in
-        # between (ghost columns, the seams between grids) get finite values
-        # that are never read back.
-        w = nx + 2
-        n = (ny + 2) * w
-        size = k * n  # cells per field
-        lo = w + 1
-        end = 3 * size - n + (ny + 1) * w - 1
-
-        fields = cols.T.reshape(k, 3, ny, nx).transpose(1, 0, 2, 3)
+        fields = _fields(cols, self.nx, self.ny)
         _check(fields, self._stability_error, batched)
-        u, v, h = fields
-
-        # conservative variables (h, hu, hv) and their fluxes
-        cons = np.empty((3, k, ny + 2, w))
-        core = cons[:, :, 1:-1, 1:-1]
-        core[0] = h
-        np.multiply(h, u, out=core[1])
-        np.multiply(h, v, out=core[2])
-        _fill_ghosts(cons, n_even=2)
-        c = cons.reshape(3, size)
-        pressure = (0.5 * g) * c[0] * c[0]
-        fx = _flux(c, 1, pressure, size).ravel()
-        fy = _flux(c, 2, pressure, size).ravel()
-        c = c.ravel()
-
-        # half-step states on the x face between p and p+1 and the y face
-        # between p and p+w. Faces in the last row of a field's last grid
-        # pair cells of two fields, so their depth may have any sign; the
-        # second fluxes, which divide by it, leave that row out as zeros.
-        mx = np.empty((3, size))
-        my = np.empty((3, size))
-        np.subtract(0.5 * (c[1:] + c[:-1]), (0.5 * lx) * (fx[1:] - fx[:-1]),
-                    out=mx.ravel()[:-1])
-        np.subtract(0.5 * (c[w:] + c[:-w]), (0.5 * ly) * (fy[w:] - fy[:-w]),
-                    out=my.ravel()[:-w])
-        mx, my = mx[:, :size - w], my[:, :size - w]
-        fx = _flux(mx, 1, (0.5 * g) * mx[0] * mx[0], size).ravel()
-        fy = _flux(my, 2, (0.5 * g) * my[0] * my[0], size).ravel()
-
-        # conservative update: cell p has x faces p-1, p and y faces p-w, p
-        new = np.empty((3, k, ny + 2, w))
-        np.subtract(
-            c[lo:end] - lx * (fx[lo:end] - fx[lo - 1:end - 1]),
-            ly * (fy[lo:end] - fy[lo - w:end - w]),
-            out=new.ravel()[lo:end],
-        )
-        h_new, p_new, q_new = new[:, :, 1:-1, 1:-1]
+        plan = _plan(self, k)
+        h_new = plan.advect(fields)
         _check(h_new[None], _depth_error, batched)
-        u_new = p_new / h_new
-        v_new = q_new / h_new
-
-        # source split: exact Coriolis rotation and friction decay, explicit viscosity
-        ang = self.coriolis * self.dt
-        cs, sn = np.cos(ang), np.sin(ang)
-        rot = np.empty((2, k, ny + 2, w))
-        np.add(cs * u_new, sn * v_new, out=rot[0, :, 1:-1, 1:-1])
-        np.add(-sn * u_new, cs * v_new, out=rot[1, :, 1:-1, 1:-1])
-        _fill_ghosts(rot, n_even=1)
-        r = rot.ravel()
-        stop = end - size  # two fields here, not three
-        centre = r[lo:stop]
-        twice = 2.0 * centre
-        lap = (((r[lo + 1:stop + 1] - twice) + r[lo - 1:stop - 1]) / self.dx**2
-               + ((r[lo + w:stop + w] - twice) + r[lo - w:stop - w]) / self.dy**2)
-        decay = np.exp(-self.friction * self.dt)
-        np.add(decay * centre, (self.dt * self.viscosity) * lap, out=centre)
-
         out = np.empty((self.dimension, k))
-        fields = out.T.reshape(k, 3, ny, nx).transpose(1, 0, 2, 3)
-        fields[:2] = rot[:, :, 1:-1, 1:-1]
-        fields[2] = h_new
+        plan.source_split(_fields(out, self.nx, self.ny))
         _check(out, _finite_error, batched)
         return out if batched else out[:, 0]
 
@@ -176,13 +113,14 @@ class SWESpec:
     def _stability_error(self, fields) -> str | None:
         """Why the (u, v, h) fields cannot be stepped, or None."""
         u, v, h = fields
-        message = _depth_error(h)
+        h_max = np.maximum.reduce(h, None)
+        message = _depth_error(h, h_max)
         if message is not None:
             return message
-        c = np.sqrt(self.gravity * h.max())
+        c = np.sqrt(self.gravity * h_max)
         cfl = max(
-            (np.abs(u).max() + c) * self.dt / self.dx,
-            (np.abs(v).max() + c) * self.dt / self.dy,
+            (np.maximum.reduce(np.abs(u), None) + c) * self.dt / self.dx,
+            (np.maximum.reduce(np.abs(v), None) + c) * self.dt / self.dy,
         )
         if cfl >= 1.0:
             return f"runtime CFL violation: (|u| + sqrt(g h)) dt/dx = {cfl:.3f} >= 1"
@@ -221,35 +159,223 @@ class SWESpec:
         return self.pack(u, v, h)
 
 
-def _fill_ghosts(buf: np.ndarray, n_even: int) -> None:
-    """Fill the ghost layer of stacked padded fields (f, k, ny+2, nx+2) in place.
+def _fields(cols: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """(M, k) column states viewed as (u, v, h) fields of shape (3, k, ny, nx)."""
+    return cols.T.reshape(cols.shape[1], 3, ny, nx).transpose(1, 0, 2, 3)
+
+
+_PLANS: dict = {}
+
+
+def _plan(spec: SWESpec, k: int) -> "_StepPlan":
+    """The step plan of k columns of spec, built once per process."""
+    plan = _PLANS.get((spec, k))
+    if plan is None:
+        plan = _PLANS[spec, k] = _StepPlan(spec, k)
+    return plan
+
+
+class _StepPlan:
+    """Buffers and views for one step of k columns on one grid.
+
+    The fields of all columns are stacked as (field, column, ny+2, nx+2)
+    ghost-padded grids and flattened, so the x neighbour of flat cell p is p+1
+    and its y neighbour p+w. Each stage runs over the whole flat buffer with
+    `out=` into the plan; the interior cells of every grid lie in [lo, end).
+    Cells in between (ghost columns, the seams between grids) get finite
+    values that are never read back. Every buffer starts zeroed.
+
+    Each expression runs as one ufunc call per operation, in place where it
+    can, with its float operations in the order of the plain expression, so
+    every value is bit for bit what the allocating form gives.
+    """
+
+    def __init__(self, spec: SWESpec, k: int):
+        nx, ny = spec.nx, spec.ny
+        w = nx + 2
+        n = (ny + 2) * w
+        size = k * n  # cells per field
+        lo = w + 1
+        end = 3 * size - n + (ny + 1) * w - 1
+        stop = end - size  # two fields, not three
+        # half-step faces in the last row of a field's last grid pair cells of
+        # two fields, so their depth may have any sign; the second fluxes,
+        # which divide by it, leave that row out as zeros
+        m = size - w
+
+        self.g_half = 0.5 * spec.gravity
+        lx = spec.dt / spec.dx
+        ly = spec.dt / spec.dy
+        self.lx, self.ly = lx, ly
+        self.lx_half, self.ly_half = 0.5 * lx, 0.5 * ly
+        ang = spec.coriolis * spec.dt
+        self.cs, self.sn = np.cos(ang), np.sin(ang)
+        self.decay = np.exp(-spec.friction * spec.dt)
+        self.dt_nu = spec.dt * spec.viscosity
+        self.dx2, self.dy2 = spec.dx**2, spec.dy**2
+
+        # conservative variables (h, hu, hv), their pressure g h^2/2 and the
+        # velocity ratio of a flux
+        cons = np.zeros((3, k, ny + 2, w))
+        self.core = cons[:, :, 1:-1, 1:-1]
+        self.cons_ghosts = _Ghosts(cons, n_even=2)
+        self.c = c = cons.reshape(3, size)
+        cf = cons.ravel()
+        self.pressure = np.zeros(size)
+        self.vel = np.zeros(size)
+
+        # stage-1 fluxes, then the half-step states on the x face between p
+        # and p+1 and the y face between p and p+w, then the stage-2 fluxes of
+        # those states in the stage-1 buffers (zero past m)
+        self.fx = fx = np.zeros((3, size))
+        self.fy = fy = np.zeros((3, size))
+        mx = np.zeros((3, size))
+        my = np.zeros((3, size))
+        diff = np.zeros(3 * size)
+        fxf, fyf, mxf, myf = fx.ravel(), fy.ravel(), mx.ravel(), my.ravel()
+        self.half_x = (cf[1:], cf[:-1], fxf[1:], fxf[:-1], mxf[:-1], diff[:-1])
+        self.half_y = (cf[w:], cf[:-w], fyf[w:], fyf[:-w], myf[:-w], diff[:-w])
+        self.m = m
+        self.face_x = mx[:, :m]
+        self.face_y = my[:, :m]
+
+        # conservative update: cell p has x faces p-1, p and y faces p-w, p
+        new = np.zeros((3, k, ny + 2, w))
+        self.update = (cf[lo:end], new.ravel()[lo:end], diff[:end - lo],
+                       fxf[lo:end], fxf[lo - 1:end - 1],
+                       fyf[lo:end], fyf[lo - w:end - w])
+        self.h_new = new[0, :, 1:-1, 1:-1]
+        self.pq_new = new[1:, :, 1:-1, 1:-1]
+
+        # source split: velocities, their rotation, and the Laplacian of the
+        # rotated velocities for the viscosity
+        self.uv = np.zeros((2, k, ny, nx))
+        self.turn = np.zeros((2, k, ny, nx))
+        rot = np.zeros((2, k, ny + 2, w))
+        self.rot_core = rot[:, :, 1:-1, 1:-1]
+        self.rot_ghosts = _Ghosts(rot, n_even=1)
+        r = rot.ravel()
+        self.centre = r[lo:stop]
+        self.twice, self.lap_x, self.lap_y = np.zeros((3, stop - lo))
+        self.neighbours = (r[lo + 1:stop + 1], r[lo - 1:stop - 1],
+                           r[lo + w:stop + w], r[lo - w:stop - w])
+
+    def advect(self, fields: np.ndarray) -> np.ndarray:
+        """Two-step Lax-Wendroff update of (u, v, h) fields; the new depth."""
+        u, v, h = fields
+        core = self.core
+        core[0] = h
+        np.multiply(h, u, out=core[1])
+        np.multiply(h, v, out=core[2])
+        self.cons_ghosts.fill()
+        c, pressure, vel = self.c, self.pressure, self.vel
+        np.multiply(c[0], self.g_half, out=pressure)
+        pressure *= c[0]
+        _flux(c, 1, pressure, vel, self.fx)
+        _flux(c, 2, pressure, vel, self.fy)
+
+        for (c_next, c_here, f_next, f_here, half, d), l_half in (
+                (self.half_x, self.lx_half), (self.half_y, self.ly_half)):
+            np.add(c_next, c_here, out=half)
+            half *= 0.5
+            np.subtract(f_next, f_here, out=d)
+            d *= l_half
+            half -= d
+
+        m = self.m
+        pressure, vel = pressure[:m], vel[:m]
+        for face, f, axis in ((self.face_x, self.fx, 1), (self.face_y, self.fy, 2)):
+            np.multiply(face[0], self.g_half, out=pressure)
+            pressure *= face[0]
+            _flux(face, axis, pressure, vel, f[:, :m])
+            f[:, m:] = 0.0
+
+        c_in, new, d, fx_out, fx_in, fy_out, fy_in = self.update
+        np.subtract(fx_out, fx_in, out=d)
+        d *= self.lx
+        np.subtract(c_in, d, out=new)
+        np.subtract(fy_out, fy_in, out=d)
+        d *= self.ly
+        new -= d
+        return self.h_new
+
+    def source_split(self, out: np.ndarray) -> None:
+        """Coriolis rotation and friction decay (exact), explicit viscosity.
+
+        Runs after `advect` and writes the new (u, v, h) into the fields `out`.
+        """
+        uv, turn, rot = self.uv, self.turn, self.rot_core
+        np.divide(self.pq_new, self.h_new, out=uv)
+        np.multiply(uv, self.cs, out=rot)
+        np.multiply(uv[1], self.sn, out=turn[0])
+        np.multiply(uv[0], -self.sn, out=turn[1])
+        rot += turn
+        self.rot_ghosts.fill()
+
+        centre, twice, lap_x, lap_y = self.centre, self.twice, self.lap_x, self.lap_y
+        east, west, north, south = self.neighbours
+        np.multiply(centre, 2.0, out=twice)
+        np.subtract(east, twice, out=lap_x)
+        lap_x += west
+        lap_x /= self.dx2
+        np.subtract(north, twice, out=lap_y)
+        lap_y += south
+        lap_y /= self.dy2
+        lap_x += lap_y
+        lap_x *= self.dt_nu
+        centre *= self.decay
+        centre += lap_x
+
+        out[:2] = rot
+        out[2] = self.h_new
+
+
+class _Ghosts:
+    """The ghost layer of stacked padded fields (f, k, ny+2, nx+2) as a gather.
 
     Periodic in x. At the y walls the first n_even fields are mirrored unchanged
     (h, u and x-momentum) and the rest with a sign flip (v and y-momentum),
-    which zeroes the wall-normal flow at the wall faces.
+    which zeroes the wall-normal flow at the wall faces. Each ghost copies one
+    interior cell times +1 or -1, which equals the value or its negation.
     """
-    buf[:, :, 1:-1, 0] = buf[:, :, 1:-1, -2]
-    buf[:, :, 1:-1, -1] = buf[:, :, 1:-1, 1]
-    buf[:n_even, :, 0] = buf[:n_even, :, 1]
-    buf[:n_even, :, -1] = buf[:n_even, :, -2]
-    np.negative(buf[n_even:, :, 1], out=buf[n_even:, :, 0])
-    np.negative(buf[n_even:, :, -2], out=buf[n_even:, :, -1])
+
+    def __init__(self, buf: np.ndarray, n_even: int):
+        # x ghosts first, then whole wall rows: a corner takes the source of
+        # the x ghost beside it, so every source is an interior cell
+        src = np.arange(buf.size).reshape(buf.shape)
+        src[:, :, 1:-1, 0] = src[:, :, 1:-1, -2]
+        src[:, :, 1:-1, -1] = src[:, :, 1:-1, 1]
+        src[:, :, 0] = src[:, :, 1]
+        src[:, :, -1] = src[:, :, -2]
+        sign = np.ones(buf.shape)
+        sign[n_even:, :, 0] = sign[n_even:, :, -1] = -1.0
+        ghost = np.ones(buf.shape, dtype=bool)
+        ghost[:, :, 1:-1, 1:-1] = False
+        self.flat = buf.ravel()
+        self.dst = np.flatnonzero(ghost)
+        self.src = src[ghost]
+        self.sign = sign[ghost]
+        self.values = np.zeros(self.dst.size)
+
+    def fill(self) -> None:
+        values = self.values
+        # the indices are all in range; mode="raise" would buffer the output
+        np.take(self.flat, self.src, out=values, mode="clip")
+        values *= self.sign
+        self.flat[self.dst] = values
 
 
-def _flux(s: np.ndarray, axis: int, pressure: np.ndarray, size: int) -> np.ndarray:
+def _flux(s: np.ndarray, axis: int, pressure: np.ndarray, vel: np.ndarray,
+          f: np.ndarray) -> None:
     """Flux of stacked (h, hu, hv) of shape (3, m) along x (axis=1) or y (axis=2).
 
     x: (hu, hu^2 + g h^2/2, huv); y: (hv, huv, hv^2 + g h^2/2), with the
-    pressure term g h^2/2 passed in. Comes back as (3, size), zero past m.
+    pressure term g h^2/2 passed in, into f of shape (3, m); vel is scratch.
     """
-    m = s.shape[1]
-    vel = s[axis] / s[0]
-    f = np.empty((3, size))
-    np.multiply(s, vel, out=f[:, :m])
-    f[:, m:] = 0.0
-    f[0, :m] = s[axis]
-    f[axis, :m] += pressure
-    return f
+    np.divide(s[axis], s[0], out=vel)
+    np.multiply(s[1:], vel, out=f[1:])
+    f[0] = s[axis]
+    f[axis] += pressure
 
 
 def _check(a: np.ndarray, error, batched: bool) -> None:
@@ -267,8 +393,15 @@ def _check(a: np.ndarray, error, batched: bool) -> None:
             raise BlowupError(f"{message} (column {j})" if batched else message)
 
 
-def _depth_error(h: np.ndarray) -> str | None:
-    if h.min() > 0.0 and h.max() < np.inf:
+def _depth_error(h: np.ndarray, h_max: float | None = None) -> str | None:
+    """Why the depths h cannot be stepped, or None; h_max is their maximum.
+
+    The checks reduce with the ufuncs themselves, the same reductions as
+    h.min() and h.max() without the Python wrapper around them.
+    """
+    if h_max is None:
+        h_max = np.maximum.reduce(h, None)
+    if np.minimum.reduce(h, None) > 0.0 and h_max < np.inf:
         return None
     return "shallow-water layer depth became non-positive or non-finite"
 

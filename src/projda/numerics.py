@@ -6,6 +6,7 @@ output or raises a typed error; NaN contamination is never passed through silent
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,17 @@ FILTER_STEP = 5
 # ---------------------------------------------------------------------------
 # Factorizations
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def _converging(routine: str, a: np.ndarray):
+    """Raise a LAPACK failure of the block as a NumericsError naming the
+    routine and the shape of its matrix a."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(
+            f"{routine} of a {a.shape[0]}x{a.shape[1]} matrix failed: {exc}") from exc
+
 
 def _check_finite(a: np.ndarray, name: str = "matrix"):
     a = np.asarray(a, dtype=float)

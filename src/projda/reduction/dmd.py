@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ReductionError
+from ..numerics import _converging
 from .basis import ReductionBasis
 
 logger = logging.getLogger("projda.reduction.dmd")
@@ -65,7 +66,8 @@ def dmd(snapshots: np.ndarray, rank: int | None = None, dt: float = 1.0) -> DmdR
     x1 = x[:, :-1]
     x2 = x[:, 1:]
 
-    phi, sigma, psi_t = np.linalg.svd(x1, full_matrices=False)
+    with _converging("np.linalg.svd", x1):
+        phi, sigma, psi_t = np.linalg.svd(x1, full_matrices=False)
     tol = max(x1.shape) * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)
     numerical_rank = int(np.sum(sigma > tol))
     if rank is None:
@@ -83,7 +85,8 @@ def dmd(snapshots: np.ndarray, rank: int | None = None, dt: float = 1.0) -> DmdR
     # compressed operator and its spectrum
     core = x2 @ (psi_r / sigma_r)        # X2 Psi Sigma^{-1}, (M, rank)
     a_r = phi_r.T @ core
-    eigvals, eigvecs = np.linalg.eig(a_r)
+    with _converging("np.linalg.eig", a_r):
+        eigvals, eigvecs = np.linalg.eig(a_r)
     # eig returns float64 when the spectrum is entirely real; the log below
     # must take the complex branch for negative eigenvalues
     eigvals = eigvals.astype(complex)
@@ -111,7 +114,8 @@ def dmd(snapshots: np.ndarray, rank: int | None = None, dt: float = 1.0) -> DmdR
     blocks = [modes * (eigvals[None, :] ** t) for t in fit_idx]
     lhs = np.vstack(blocks)
     rhs = x[:, fit_idx].T.reshape(-1)
-    coeffs, *_ = np.linalg.lstsq(lhs, rhs.astype(complex), rcond=None)
+    with _converging("np.linalg.lstsq", lhs):
+        coeffs, *_ = np.linalg.lstsq(lhs, rhs.astype(complex), rcond=None)
 
     duration = dt * (n_snap - 1)
     energies = _mode_energies(coeffs, freqs, duration)
@@ -183,7 +187,8 @@ def dmd_basis(result: DmdResult, r: int) -> ReductionBasis:
             i += 2
 
     stack = np.column_stack(directions)
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    with _converging("np.linalg.svd", stack):
+        u, s, _ = np.linalg.svd(stack, full_matrices=False)
     tol = max(stack.shape) * np.finfo(float).eps * s[0]
     rank_s = int(np.sum(s > tol))
     if rank_s < stack.shape[1]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ReductionError
+from ..numerics import _converging
 from .basis import ReductionBasis
 
 
@@ -21,7 +22,8 @@ def pod_basis(snapshots: np.ndarray, r: int) -> ReductionBasis:
         raise ReductionError("snapshot matrix has non-finite entries")
     if r < 1:
         raise ReductionError("rank must be >= 1")
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    with _converging("np.linalg.svd", x):
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
     tol = max(x.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     numerical_rank = int(np.sum(s > tol))
     if r > numerical_rank:

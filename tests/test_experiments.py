@@ -66,6 +66,10 @@ def _count_spin_ups(monkeypatch):
     return walks
 
 
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
 def _tiny(**overrides):
     base = dict(dimension=8, forcing=8.0, n_particles=4, n_observations=6,
                 trials=2, burn_in=50, training_steps=40, training_stride=5,
@@ -308,6 +312,18 @@ class TestSweep:
         assert len(serial) == 2
         # SummaryRow is frozen, so == compares every aggregate exactly
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unconverged_svd_fails_trials_not_the_sweep(self, monkeypatch, jobs):
+        # the patch reaches pool workers only if they are forked
+        monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", sweep_r_p=(3, 4))
+        rows = run_sweep(cfg, jobs=jobs)
+        assert [row.failed_trials for row in rows] == [cfg.trials, cfg.trials]
+        assert run_trial(cfg, 0).failure == (
+            "NumericsError: np.linalg.svd of a 8x9 matrix failed: SVD did not converge")
 
     def test_workers_get_their_share_of_blas_threads(self, monkeypatch):
         if not sweep._openblas_entry_points("get"):

@@ -121,6 +121,14 @@ class TestMalformedFiles:
                                                                spoil, start):
         self._reduce_exits_2_with_one_line(tmp_path, capsys, spoil, start)
 
+    def test_reduce_on_unconverged_svd_exits_2_with_one_line(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def spoil(path):
+            monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+
+        self._reduce_exits_2_with_one_line(tmp_path, capsys, spoil,
+                                           "error: np.linalg.svd of a 8x9 matrix failed")
+
     @staticmethod
     def _reduce_exits_2_with_one_line(tmp_path, capsys, spoil, start):
         snap = str(tmp_path / "truth.bin")
@@ -155,6 +163,10 @@ class TestMalformedFiles:
         capsys.readouterr()
         rows = open(out).read().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["2", "2"]
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
 
 
 def _write_ini(tmp_path, name="exp.ini", trials=2, reduction_extra="",

@@ -10,6 +10,7 @@ Hand oracles:
   each with its own ghost-padded copy, in the same float operation order.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -105,6 +106,28 @@ def _jet_block(spec: SWESpec, k: int) -> np.ndarray:
     rows = spec.default_jet_state() + 0.01 * np.random.default_rng(7).standard_normal(
         (k, spec.dimension))
     return rows.T
+
+
+def _interleaved_streams():
+    """Jet states of every kind of step plan, to be stepped in turn: 64x16 as
+    one state and as a C-ordered block of five, 8x4 as a block of two, and
+    64x16 as an F-ordered block of five, which shares the plan of the C one.
+    Each entry is (spec, state, whether each step's input is F-ordered)."""
+    big, small = SWESpec(), SWESpec(nx=8, ny=4)
+    return [
+        (big, big.default_jet_state(), False),
+        (big, np.ascontiguousarray(_jet_block(big, 5)), False),
+        (small, np.ascontiguousarray(_jet_block(small, 2)), False),
+        (big, _jet_block(big, 5) + 0.5, True),
+    ]
+
+
+def _step_interleaved(streams):
+    """Step every stream once; the new streams and the arrays the steps returned."""
+    stepped = [(spec, spec.step(x), fortran) for spec, x, fortran in streams]
+    returned = [y for _, y, _ in stepped]
+    return [(spec, np.asfortranarray(y) if fortran else y, fortran)
+            for spec, y, fortran in stepped], returned
 
 
 class TestLorenz96:
@@ -237,17 +260,44 @@ class TestShallowWater:
             assert x.shape == expected.shape and x.flags.c_contiguous
             assert np.array_equal(x, expected)
 
+    def test_interleaved_plans_match_reference_and_keep_returned_arrays(self):
+        # each grid and column count has its own step plan, reused by every
+        # later step of that shape; a step of one shape between two of another
+        # must leave neither the results nor earlier returned arrays changed
+        streams = _interleaved_streams()
+        expected = [x for _, x, _ in streams]
+        kept = []
+        for _ in range(20):
+            streams, returned = _step_interleaved(streams)
+            expected = [_reference_step(spec, x)
+                        for (spec, _, _), x in zip(streams, expected)]
+            for y, ref in zip(returned, expected):
+                assert y.flags.c_contiguous and np.array_equal(y, ref)
+            kept += [(y, y.copy()) for y in returned]
+        assert all(np.array_equal(y, copy) for y, copy in kept)
+
     def test_jet_steps_raise_no_floating_point_warnings(self):
-        # the seams of the padded buffer are computed too; none of them may
-        # divide by zero or overflow
-        spec = SWESpec()
-        x = spec.default_jet_state()
-        block = _jet_block(spec, 5)
+        # the seams of the padded buffer are computed too, and a plan's
+        # buffers hold the last step of their shape; none of them may divide
+        # by zero or overflow
+        streams = _interleaved_streams()
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(60):
-                x = spec.step(x)
-                block = spec.step(block)
+                streams, _ = _step_interleaved(streams)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_step_allocates_little_beyond_its_result(self, k):
+        spec = SWESpec()
+        x = spec.default_jet_state() if k == 1 else _jet_block(spec, k)
+        spec.step(x)  # builds the plan of this shape
+        tracemalloc.start()
+        try:
+            y = spec.step(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * y.nbytes, f"peak {peak / 1024:.0f} KiB"
 
     def test_batched_check_is_per_column(self):
         # column 0 holds the fastest flow and column 1 the deepest layer; each
