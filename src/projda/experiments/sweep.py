@@ -6,11 +6,12 @@ are keyed by (point, trial), so the summary is identical for any worker
 count.
 
 Worker processes share the machine's cores. Unless the user chose a thread
-count through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, each worker caps the
-OpenBLAS libraries it has loaded (numpy and scipy wheels each ship one) at its
-share of the usable CPUs, so the workers' multi-threaded triangular solves do
-not oversubscribe the cores. The results do not depend on the thread count;
-the sweep tests check this at shapes where OpenBLAS runs threaded.
+count through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, each worker caps every
+OpenBLAS library it has loaded at its share of the usable CPUs, so the
+workers' multi-threaded matrix products and SVDs do not oversubscribe the
+cores. projda itself loads only numpy's; a library caller may also have
+scipy's, which is capped as well. The results do not depend on the thread
+count; the sweep tests check this at shapes where OpenBLAS runs threaded.
 
 Within one process, trials that start from the same state with the same
 spin-up inputs (the same trial at different r_p or r_d, say) walk the truth
@@ -91,7 +92,8 @@ def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
 
 
 # (prefix, suffix) of the thread-count entry points: numpy's 64-bit-integer
-# wheel library, scipy's wheel library, a system OpenBLAS
+# wheel library, scipy's wheel library (loaded when a library caller imported
+# scipy), a system OpenBLAS
 _OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
 
 

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericsError, RankDeficiencyError
 
@@ -97,13 +96,25 @@ def _converging(routine: str, a: np.ndarray):
             f"{routine} of a {a.shape[0]}x{a.shape[1]} matrix failed: {exc}") from exc
 
 
-def _check_finite(a: np.ndarray, name: str = "matrix"):
+def _check_finite(a, name: str) -> np.ndarray:
+    """a as a float array; non-finite entries raise a NumericsError naming it."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise NumericsError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NumericsError(f"{name} contains non-finite entries")
     return a
+
+
+def _inverse_cholesky(a: np.ndarray, failure: str) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factor L of the SPD matrix a and its inverse L^{-1}, so
+    that every later solve with a is a matrix product. A non-finite or non-SPD
+    a raises NumericsError(failure)."""
+    _check_finite(a, f"{failure}: the matrix")
+    try:
+        chol = np.linalg.cholesky(a)
+        inv_chol = np.linalg.inv(chol)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"{failure}: {exc}") from exc
+    return chol, _check_finite(inv_chol, f"{failure}: the inverse factor")
 
 
 def qr_positive(a):
@@ -114,6 +125,8 @@ def qr_positive(a):
     1e-12 * ||A||.
     """
     a = _check_finite(a, "qr input")
+    if a.ndim != 2:
+        raise NumericsError(f"qr input must be 2-dimensional, got shape {a.shape}")
     m, n = a.shape
     if n > m:
         raise RankDeficiencyError(f"qr_positive needs columns <= rows, got {m}x{n}")
@@ -148,7 +161,8 @@ class NoiseSpec:
 
     The scalar form stores one nonnegative real (variance per component); a
     scale of exactly zero means a degenerate (deterministic) term. The dense
-    form caches its Cholesky factor on first use.
+    form caches its lower Cholesky factor L and its inverse on first use:
+    color multiplies by L, solve and quad by L^{-1}.
     """
 
     dim: int
@@ -186,13 +200,10 @@ class NoiseSpec:
             return self.matrix
         return self.scale * np.eye(self.dim)
 
-    def _chol(self) -> np.ndarray:
-        """Lower Cholesky factor of the dense form (cached)."""
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, L^{-1}) of the dense form, L L^T = cov (cached)."""
         if "chol" not in self._cache:
-            try:
-                self._cache["chol"] = scipy.linalg.cholesky(self.matrix, lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise NumericsError(f"noise covariance is not SPD: {exc}") from exc
+            self._cache["chol"] = _inverse_cholesky(self.matrix, "noise covariance is not SPD")
         return self._cache["chol"]
 
     def color(self, xi: np.ndarray) -> np.ndarray:
@@ -203,7 +214,7 @@ class NoiseSpec:
             return np.zeros_like(xi)
         if self.is_scalar:
             return np.sqrt(self.scale) * xi
-        return xi @ self._chol().T
+        return xi @ self._factors()[0].T
 
     def sample(self, rng, size: int | None = None) -> np.ndarray:
         """Draw one sample (size=None) or a (size, dim) block of samples."""
@@ -219,8 +230,8 @@ class NoiseSpec:
             raise NumericsError("zero covariance is not invertible")
         if self.is_scalar:
             return v / self.scale
-        c = self._chol()
-        return scipy.linalg.cho_solve((c, True), np.asarray(v, dtype=float).T).T
+        inv_chol = self._factors()[1]
+        return (_check_finite(v, "noise solve input") @ inv_chol.T) @ inv_chol
 
     def quad(self, v: np.ndarray) -> np.ndarray:
         """v^T cov^{-1} v along the last axis.
@@ -234,6 +245,5 @@ class NoiseSpec:
             return np.where(sq == 0.0, 0.0, np.inf)
         if self.is_scalar:
             return np.sum(v * v, axis=-1) / self.scale
-        c = self._chol()
-        w = scipy.linalg.solve_triangular(c, v.T, lower=True)
-        return np.sum(w * w, axis=0)
+        w = _check_finite(v, "noise quadratic form input") @ self._factors()[1].T
+        return np.sum(w * w, axis=-1)

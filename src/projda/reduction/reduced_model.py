@@ -20,11 +20,10 @@ factor (see there).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import NumericsError, ReductionError
 from ..models.observation import ObservationOperator
-from ..numerics import NoiseSpec
+from ..numerics import NoiseSpec, _check_finite, _inverse_cholesky
 from .basis import ReductionBasis
 
 
@@ -98,7 +97,7 @@ class ReducedModel:
             self.r_q = NoiseSpec.dense(self._hv.T @ rv)
         try:
             if not self.r_q.is_scalar:
-                self.r_q._chol()
+                self.r_q._factors()
         except NumericsError as exc:
             raise ReductionError(
                 f"reduced data noise R^q is numerically singular; the "
@@ -114,7 +113,7 @@ class ReducedModel:
             self._jitter_cols = w
 
         self._proposal = None
-        self._zq_chol = None
+        self._zq_inv_chol = None
 
     # -- dimensions ---------------------------------------------------------
 
@@ -167,15 +166,13 @@ class ReducedModel:
         return self._proposal
 
     def weight_quad(self, nu_rows: np.ndarray) -> np.ndarray:
-        """nu^T (Z^q)^{-1} nu rowwise; Z^q (zq_matrix) is factored once."""
-        if self._zq_chol is None:
-            try:
-                self._zq_chol = scipy.linalg.cholesky(self.zq_matrix(), lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise NumericsError(f"weight matrix Z^q is singular: {exc}") from exc
-        w = scipy.linalg.solve_triangular(self._zq_chol, np.asarray(nu_rows, dtype=float).T,
-                                          lower=True)
-        return np.sum(w * w, axis=0)
+        """nu^T (Z^q)^{-1} nu rowwise; Z^q (zq_matrix) = L L^T is factored once
+        and the rows are multiplied by L^{-T}."""
+        if self._zq_inv_chol is None:
+            self._zq_inv_chol = _inverse_cholesky(
+                self.zq_matrix(), "weight matrix Z^q is singular")[1]
+        w = _check_finite(nu_rows, "weight quadratic form input") @ self._zq_inv_chol.T
+        return np.sum(w * w, axis=-1)
 
     def zq_matrix(self) -> np.ndarray:
         """Z^q = H^q Q^q H^q^T + R^q, the covariance of the weighting innovation."""
@@ -190,19 +187,17 @@ class ReducedModel:
 class OptimalProposal:
     """Gaussian proposal of the optimal-proposal update in reduced coordinates.
 
-    Precision A = (Q^q)^{-1} + (HU)^T R^{-1} (HU) is factored once, A = L L^T;
-    sampling uses delta = L^{-T} xi and the mean shift solves A delta =
-    (HU)^T R^{-1} (y - HU f^q(z)).
+    Precision A = (Q^q)^{-1} + (HU)^T R^{-1} (HU) is factored once, A = L L^T,
+    and only L^{-1} is kept, so every cycle's algebra is matrix products:
+    a draw is delta = L^{-T} xi (rows: xi L^{-1}) and the mean shift is
+    A^{-1} (HU)^T R^{-1} (y - HU f^q(z)) = L^{-T} L^{-1} rhs.
 
     When U_out is the identity and Q and R are scalar, A is the diagonal
     a = 1/q + [i observed]/r and L = diag(sqrt(a)), so only the vector
-    1/sqrt(a) is kept: the mean shift is (rhs / sqrt(a)) / sqrt(a) and a draw
-    is xi / sqrt(a), each division a product with that reciprocal, which is how
-    OpenBLAS triangular solves apply a diagonal pivot, so under OpenBLAS the
-    results equal the dense factor's; a BLAS whose solves divide by the pivot
-    (the reference BLAS does) gives results that differ in the last bits.
-    (OpenBLAS solves a single right-hand side in sample_delta by dividing, so
-    a one-particle draw can differ from the dense route's in the last bit.)
+    1/sqrt(a) is kept: the mean shift is (rhs * (1/sqrt(a))) * (1/sqrt(a)) and a
+    draw is xi * (1/sqrt(a)). The dense route's L^{-1} of that diagonal L is the
+    same correctly rounded 1/sqrt(a), and its products add only exact zeros, so
+    both routes give the same bits for any particle count.
     """
 
     def __init__(self, reduced: ReducedModel):
@@ -213,7 +208,7 @@ class OptimalProposal:
         if r.is_zero:
             raise NumericsError("optimal proposal requires a nonzero observation noise R")
         self._rinv_hu = r.solve(hu.T).T if not r.is_scalar else hu / r.scale
-        self._chol = self._inv_sqrt_a = None
+        self._inv_chol = self._inv_sqrt_a = None
         if reduced.basis_out.is_identity and q_q.is_scalar and r.is_scalar:
             # the diagonal of I/q + H^T H/r, summed as the dense route sums it
             a = np.full(reduced.reduced_dim, 1.0 / q_q.scale)
@@ -223,32 +218,29 @@ class OptimalProposal:
         if q_q.is_scalar:
             a = np.eye(reduced.reduced_dim) / q_q.scale
         else:
-            a = scipy.linalg.cho_solve((q_q._chol(), True), np.eye(reduced.reduced_dim))
+            a = q_q.solve(np.eye(reduced.reduced_dim))
         a = a + hu.T @ self._rinv_hu
-        try:
-            self._chol = scipy.linalg.cholesky(a, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericsError(f"proposal precision Q_p^{{-1}} is singular: {exc}") from exc
+        self._inv_chol = _inverse_cholesky(a, "proposal precision Q_p^{-1} is singular")[1]
 
     def mean_shift(self, resid_rows: np.ndarray) -> np.ndarray:
         """Q_p (HU)^T R^{-1} resid, rowwise over (count, d) residuals."""
         rhs = resid_rows @ self._rinv_hu
-        if self._chol is None:
+        if self._inv_chol is None:
             return (rhs * self._inv_sqrt_a) * self._inv_sqrt_a
-        return scipy.linalg.cho_solve((self._chol, True), rhs.T).T
+        rhs = _check_finite(rhs, "proposal mean shift right-hand side")
+        return (rhs @ self._inv_chol.T) @ self._inv_chol
 
     def sample_delta(self, xi_rows: np.ndarray) -> np.ndarray:
         """Draws of N(0, Q_p) from standard-normal rows: L^{-T} xi."""
-        if self._chol is None:
+        if self._inv_chol is None:
             return xi_rows * self._inv_sqrt_a
-        return scipy.linalg.solve_triangular(self._chol.T, xi_rows.T, lower=False).T
+        return _check_finite(xi_rows, "proposal draw input") @ self._inv_chol
 
     def covariance(self) -> np.ndarray:
         """Dense Q_p, mainly for verification."""
-        if self._chol is None:
+        if self._inv_chol is None:
             return np.diag(self._inv_sqrt_a * self._inv_sqrt_a)
-        n = self._chol.shape[0]
-        return scipy.linalg.cho_solve((self._chol, True), np.eye(n))
+        return self._inv_chol.T @ self._inv_chol
 
 
 def build_reduced_model(model, h: ObservationOperator, q: NoiseSpec, r: NoiseSpec,

@@ -58,12 +58,13 @@ def _report(capfd, tag: str, ok: bool, detail: str, elapsed: float,
     assert ok, line
 
 
-def test_a1_identity_bases_reproduce_the_full_space_filter(capfd, scipy_blas):
+def test_a1_identity_bases_reproduce_the_full_space_filter(capfd, numpy_blas):
     """The step-level check holds identity_reduced_model, whose optimal proposal
     keeps a diagonal factor, to explicit identity matrices run through the dense
-    Cholesky algebra. The two agree bit for bit where the BLAS triangular solve
-    multiplies by the reciprocal of each pivot, as OpenBLAS (the numpy and scipy
-    wheels' BLAS) does; a failure names the BLAS scipy loaded."""
+    inverse-Cholesky products. The two agree bit for bit where the BLAS inverts
+    a diagonal factor to the correctly rounded reciprocals and adds products
+    with exact zeros exactly, as OpenBLAS (numpy's wheel BLAS) does; a failure
+    names the BLAS numpy loaded."""
     t0 = time.monotonic()
     steps_equal = records_equal = True
     resampled_any = False
@@ -112,7 +113,7 @@ def test_a1_identity_bases_reproduce_the_full_space_filter(capfd, scipy_blas):
             records_equal &= np.array_equal(getattr(a, field), getattr(b, field))
 
     ok = steps_equal and records_equal and resampled_any
-    blas = "" if steps_equal else f"; scipy BLAS {scipy_blas}"
+    blas = "" if steps_equal else f"; numpy BLAS {numpy_blas}"
     _report(capfd, "A1", ok,
             "projected optimal-proposal filter with identity bases matches the "
             f"full-space filter bit for bit (2 seeds; step level {steps_equal}, "

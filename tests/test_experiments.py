@@ -301,8 +301,8 @@ class TestSweep:
         assert [p.forcing for p in sweep_points(cfg)] == [3.0, 8.0]
 
     def test_parallel_matches_serial(self):
-        # r_p, r_d and n_particles >= 8 put both sides of the triangular
-        # solves where OpenBLAS threads them: the serial run keeps the
+        # r_p, r_d and n_particles >= 8 put both sides of the filter's dense
+        # products where OpenBLAS threads them: the serial run keeps the
         # library's threads, each of the two workers gets its share
         cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", dimension=20,
                     n_particles=10, training_steps=100, r_p=8, r_d=8,

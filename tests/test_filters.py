@@ -308,12 +308,12 @@ class TestFullSpaceWithoutDenseMatrices:
     100th observed. Its optimal proposal keeps a diagonal factor and Z^q skips
     q I; the explicit-identity route keeps the dense algebra and is the oracle.
 
-    Bit equality with the oracle assumes a BLAS whose triangular solves with
-    several right-hand sides multiply by the reciprocal of each pivot, as
-    OpenBLAS (the numpy and scipy wheels' BLAS) does; the failure messages name
-    the BLAS scipy loaded."""
+    Bit equality with the oracle assumes a BLAS that inverts the diagonal
+    Cholesky factor to the correctly rounded reciprocals and adds products with
+    exact zeros exactly, as OpenBLAS (numpy's wheel BLAS) does; the failure
+    messages name the BLAS numpy loaded."""
 
-    def test_swe_shape_matches_dense_route_bit_for_bit(self, scipy_blas):
+    def test_swe_shape_matches_dense_route_bit_for_bit(self, numpy_blas):
         model = SWESpec(nx=64, ny=16)
         m = model.dimension
         h = ObservationOperator.every_kth(m, 100)
@@ -334,7 +334,7 @@ class TestFullSpaceWithoutDenseMatrices:
                                    rng.child(2, t), cfg)
             ens_o = proj_oppf_step(ens_o, dense, y, dense.reduce_data(y),
                                    rng.child(2, t), cfg)
-            blas = f"step {t}, scipy BLAS {scipy_blas}"
+            blas = f"step {t}, numpy BLAS {numpy_blas}"
             np.testing.assert_array_equal(ens_d.particles, ens_o.particles, err_msg=blas)
             np.testing.assert_array_equal(ens_d.weights, ens_o.weights, err_msg=blas)
             assert ens_d.last_ess == ens_o.last_ess, blas
@@ -345,10 +345,9 @@ class TestFullSpaceWithoutDenseMatrices:
         h_q = dense.h_q
         np.testing.assert_array_equal(zq, h_q @ (q.cov_matrix() @ h_q.T) + r.cov_matrix())
 
-    def test_one_particle_matches_dense_route_to_rounding(self):
-        # a single right-hand side makes the dense route's draw a trsv, which
-        # OpenBLAS applies by dividing by the pivot where the diagonal route
-        # multiplies by its reciprocal: equal to rounding, not bit for bit
+    def test_one_particle_matches_dense_route_bit_for_bit(self, numpy_blas):
+        # one particle makes each of the dense route's products a single row;
+        # they still add only exact zeros to the diagonal route's products
         model = L96Spec(dimension=40)
         h = ObservationOperator.every_kth(40, 4)
         q = NoiseSpec.scaled_identity(40, 0.1)
@@ -364,8 +363,9 @@ class TestFullSpaceWithoutDenseMatrices:
             ens_d = proj_oppf_step(ens_d, diagonal, y, diagonal.reduce_data(y),
                                    rng.child(3, t))
             ens_o = proj_oppf_step(ens_o, dense, y, dense.reduce_data(y), rng.child(3, t))
-            np.testing.assert_allclose(ens_d.particles, ens_o.particles, rtol=1e-12, atol=0)
-            np.testing.assert_array_equal(ens_d.weights, ens_o.weights)
+            blas = f"step {t}, numpy BLAS {numpy_blas}"
+            np.testing.assert_array_equal(ens_d.particles, ens_o.particles, err_msg=blas)
+            np.testing.assert_array_equal(ens_d.weights, ens_o.weights, err_msg=blas)
 
     def test_holds_no_state_sized_matrix(self):
         m = 3072

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projda.errors import NumericsError, RankDeficiencyError
-from projda.numerics import NoiseSpec, RngStream, qr_positive
+from projda.numerics import NoiseSpec, RngStream, _inverse_cholesky, qr_positive
 
 
 class TestRngStream:
@@ -140,7 +140,35 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec.dense(np.array([[np.inf, 0.0], [0.0, 1.0]]))
         with pytest.raises(NumericsError):
-            NoiseSpec.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))._chol()
+            NoiseSpec.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))._factors()
+
+
+class TestTypedNumericsErrors:
+    """Non-finite or non-SPD input is a NumericsError, so a sweep fails only
+    the trial it happens in."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("op", ["quad", "solve"])
+    def test_dense_noise_rejects_non_finite_input(self, op, bad):
+        q = NoiseSpec.dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        v = np.array([[1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(NumericsError, match="non-finite"):
+            getattr(q, op)(v)
+
+    @pytest.mark.parametrize("matrix", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, np.inf]],
+        [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+        [[0.0, 0.0], [0.0, 1.0]],  # singular
+    ])
+    def test_factor_failure_carries_the_callers_message(self, matrix):
+        with pytest.raises(NumericsError, match=r"^weight matrix Z\^q is singular: "):
+            _inverse_cholesky(np.array(matrix), "weight matrix Z^q is singular")
+
+    def test_non_spd_noise_names_the_covariance(self):
+        q = NoiseSpec.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NumericsError, match="^noise covariance is not SPD: "):
+            q.quad(np.ones(2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,15 @@ The full-space filters are proj_pf_step and proj_oppf_step run with
 identity_reduced_model, the resampling jitter is ReducedModel.jitter_noise,
 and the experiment driver walks every deterministic trajectory. The names
 below were second copies of these or wrappers only tests called.
+
+numpy is the only runtime dependency: the package imports no scipy, and runs
+with scipy made unimportable.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +27,7 @@ REMOVED = [
     "standard_pf_step", "oppf_step", "projected_resample_noise",
     "smoothed_noise_rows", "simulate_truth", "run_deterministic",
 ]
+SRC = Path(__file__).resolve().parents[1] / "src"
 OWNERS = [projda, models, simulate, numerics, filters, reduction, reduced_model,
           ObservationOperator, ReductionBasis]
 
@@ -26,3 +35,35 @@ OWNERS = [projda, models, simulate, numerics, filters, reduction, reduced_model,
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_helper_stays_gone(name):
     assert [owner.__name__ for owner in OWNERS if hasattr(owner, name)] == []
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    out = _run_python("import sys, projda.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_model_based_projoppf_runs_without_scipy():
+    # a POD state basis and a model-based data reduction take the dense R^q,
+    # weighting and proposal routes
+    out = _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from projda.experiments import default_config, run_trial\n"
+        "cfg = default_config('l96', dimension=12, n_particles=5, n_observations=4,\n"
+        "                     trials=1, filter_kind='projoppf', reduction_kind='pod',\n"
+        "                     r_p=6, r_d=3, data_reduction='model', base_seed=1)\n"
+        "rec = run_trial(cfg, 0)\n"
+        "assert not rec.failed, rec.failure\n"
+        "print(len(rec.rmse))\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "4"

@@ -371,8 +371,23 @@ class TestReducedModel:
         # a basis whose observed rows are rank deficient gives a singular R^q
         model, h, q, r, _ = _small_setup()
         u = ReductionBasis(np.eye(8)[:, :3], kind="pod")  # second column unobserved
-        with pytest.raises(ReductionError):
+        with pytest.raises(ReductionError, match="R\\^q is numerically singular.*"
+                                                 "noise covariance is not SPD"):
             build_reduced_model(model, h, q, r, u, kind="model")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weight_quad_rejects_non_finite_innovation(self, bad):
+        model, h, q, r, red = _small_setup()
+        nu = np.ones((3, red.data_reduced_dim))
+        nu[1, 0] = bad
+        with pytest.raises(NumericsError, match="non-finite"):
+            red.weight_quad(nu)
+
+    def test_non_spd_weight_matrix_is_named(self):
+        model, h, q, r, red = _small_setup()
+        red.zq_matrix = lambda: -np.eye(red.data_reduced_dim)
+        with pytest.raises(NumericsError, match="^weight matrix Z\\^q is singular: "):
+            red.weight_quad(np.ones((1, red.data_reduced_dim)))
 
 
 class TestOptimalProposal:
@@ -419,6 +434,37 @@ class TestOptimalProposal:
         resid = np.random.default_rng(8).standard_normal((3, h.data_dim))
         np.testing.assert_allclose(prop.mean_shift(resid), resid @ (qp @ hu.T @ rinv).T,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_dense_route_rejects_non_finite_rows(self, bad):
+        model, h, q, r, red = _small_setup()
+        prop = red.optimal_proposal()
+        resid = np.ones((2, h.data_dim))
+        resid[0, 1] = bad
+        # the check reads the right-hand side, where inf times 0 is already nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="non-finite"):
+            prop.mean_shift(resid)
+        xi = np.ones((2, red.reduced_dim))
+        xi[1, 0] = bad
+        with pytest.raises(NumericsError, match="non-finite"):
+            prop.sample_delta(xi)
+
+    def test_non_finite_precision_is_named(self):
+        # a NaN model-noise scale reaches the proposal precision
+        model, h, q, r, red = _small_setup(q_scale=float("nan"))
+        with pytest.raises(NumericsError, match="^proposal precision Q_p\\^\\{-1\\} is singular: "):
+            red.optimal_proposal()
+
+    def test_dense_model_noise_is_inverted_through_its_factor(self):
+        model, h, q, r, _ = _small_setup()
+        q_dense = NoiseSpec.dense(0.1 * np.eye(8) + 0.02 * np.ones((8, 8)))
+        u = ReductionBasis(np.linalg.qr(np.random.default_rng(3).standard_normal((8, 4)))[0],
+                           kind="pod")
+        red = build_reduced_model(model, h, q_dense, r, u, v=u.leading(2), kind="model")
+        assert not red.q_q.is_scalar
+        hu = red.hu
+        qp = np.linalg.inv(np.linalg.inv(red.q_q.cov_matrix()) + hu.T @ hu / r.scale)
+        np.testing.assert_allclose(red.optimal_proposal().covariance(), qp, atol=1e-12)
 
     def test_zero_observation_noise_rejected(self):
         model = L96Spec(dimension=4)
