@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import logging
 import os
 import sys
 
-import numpy as np
-
 from .errors import ConfigError, ProjdaError, ReductionError
-from .experiments import load_config, replace, run_point, run_sweep
+from .experiments import load_config, replace, run_point, run_sweep, summarize
 from .experiments.sweep import write_summary_csv, write_trial_csv
 from .experiments.trial import _initial_state, _spin_up, training_trajectory
 from .models import load_snapshots, save_snapshots
@@ -90,15 +89,13 @@ def _cmd_lyapunov(args, config):
 def _cmd_assimilate(args, config):
     records = run_point(config, jobs=args.jobs)
     write_trial_csv(args.out, records, config.build_model().cycle_dt)
-    ok = [rec for rec in records if not rec.failed]
-    failed = len(records) - len(ok)
+    row = summarize(config, records)
+    ok = len(records) - row.failed_trials
     if ok:
-        mean_rmse = float(np.mean([rec.mean_rmse for rec in ok]))
-        resamp = float(100.0 * np.mean([rec.resample_fraction for rec in ok]))
-        print(f"{len(ok)} trials: mean rmse {mean_rmse:.4g}, "
-              f"resampled {resamp:.1f}% of steps, {failed} failed")
+        print(f"{ok} trials: mean rmse {row.mean_rmse:.4g}, "
+              f"resampled {row.resamp_pct:.1f}% of steps, {row.failed_trials} failed")
     else:
-        print(f"all {failed} trials failed; see {args.out} and the log")
+        print(f"all {row.failed_trials} trials failed; see {args.out} and the log")
     print(f"wrote {args.out}")
     return 0 if ok else 1
 
@@ -117,54 +114,54 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_out):
+    def common(default_out):
+        p = argparse.ArgumentParser(add_help=False)
         p.add_argument("--config", required=True, help="INI experiment configuration")
         p.add_argument("--out", default=default_out, help=f"output path (default {default_out})")
-        p.add_argument("--seed", type=int, default=None, help="override [experiment] base_seed")
+        p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, default=None,
+                       help="override [experiment] base_seed")
+        return p
 
-    p_truth = sub.add_parser("truth", help="generate a training trajectory snapshot file")
-    common(p_truth, "truth.bin")
+    # options of the commands that run trials; the dest of each override, as
+    # of --seed, is the ExperimentConfig field it sets
+    running = argparse.ArgumentParser(add_help=False)
+    running.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    running.add_argument("--kind", dest="reduction_kind", choices=("pod", "dmd", "aus"),
+                         default=None)
+    running.add_argument("--r", dest="r_p", metavar="R", type=int, default=None,
+                         help="override r_p")
+    running.add_argument("--rd", dest="r_d", metavar="RD", type=int, default=None,
+                         help="override r_d")
+
+    p_truth = sub.add_parser("truth", parents=[common("truth.bin")],
+                             help="generate a training trajectory snapshot file")
     p_truth.set_defaults(handler=_cmd_truth)
 
-    p_reduce = sub.add_parser("reduce", help="build a reduction basis from snapshots")
-    common(p_reduce, "basis.bin")
+    p_reduce = sub.add_parser("reduce", parents=[common("basis.bin")],
+                              help="build a reduction basis from snapshots")
     p_reduce.add_argument("--kind", choices=("pod", "dmd", "aus"), default=None,
                           help="basis kind (default from config)")
     p_reduce.add_argument("--r", type=int, default=None, help="basis rank (default r_p)")
     p_reduce.set_defaults(handler=_cmd_reduce)
 
-    p_lyap = sub.add_parser("lyapunov", help="Lyapunov spectrum and Kaplan-Yorke dimension")
-    common(p_lyap, "")
+    p_lyap = sub.add_parser("lyapunov", parents=[common("")],
+                            help="Lyapunov spectrum and Kaplan-Yorke dimension")
     p_lyap.set_defaults(handler=_cmd_lyapunov)
 
-    p_assim = sub.add_parser("assimilate", help="run trials, write per-trial metrics CSV")
-    common(p_assim, "metrics.csv")
-    p_assim.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p_assim.add_argument("--kind", choices=("pod", "dmd", "aus"), default=None)
-    p_assim.add_argument("--r", type=int, default=None, help="override r_p")
-    p_assim.add_argument("--rd", type=int, default=None, help="override r_d")
+    p_assim = sub.add_parser("assimilate", parents=[common("metrics.csv"), running],
+                             help="run trials, write per-trial metrics CSV")
     p_assim.set_defaults(handler=_cmd_assimilate)
 
-    p_sweep = sub.add_parser("sweep", help="run the configured sweep, write summary CSV")
-    common(p_sweep, "summary.csv")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p_sweep.add_argument("--kind", choices=("pod", "dmd", "aus"), default=None)
-    p_sweep.add_argument("--r", type=int, default=None, help="override r_p")
-    p_sweep.add_argument("--rd", type=int, default=None, help="override r_d")
+    p_sweep = sub.add_parser("sweep", parents=[common("summary.csv"), running],
+                             help="run the configured sweep, write summary CSV")
     p_sweep.set_defaults(handler=_cmd_sweep)
     return parser
 
 
 def _apply_overrides(args, config):
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if getattr(args, "kind", None) is not None and args.command in ("assimilate", "sweep"):
-        overrides["reduction_kind"] = args.kind
-    if getattr(args, "r", None) is not None and args.command in ("assimilate", "sweep"):
-        overrides["r_p"] = args.r
-    if getattr(args, "rd", None) is not None:
-        overrides["r_d"] = args.rd
+    fields = {f.name for f in dataclasses.fields(config)}
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in fields and value is not None}
     return replace(config, **overrides) if overrides else config
 
 

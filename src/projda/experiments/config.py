@@ -1,24 +1,9 @@
 """Experiment configuration: one flat dataclass loaded from an INI file.
 
-Sections and keys:
-
-[model]        kind (l96|swe), dimension, forcing, dt, steps_per_observation,
-               nx, ny, dx, dy, gravity, coriolis, friction, viscosity, depth,
-               jet_speed, jet_width, perturb_amplitude
-[observation]  scenario (all|uv|h), fraction
-[noise]        q_scale, r_scale
-[reduction]    kind (identity|pod|dmd|aus), r_p, r_d, data_reduction
-               (model|data), training_steps, training_stride, snapshot_file,
-               basis_file, dmd_rank, aus_eps, aus_spinup
-[filter]       kind (pf|oppf|projpf|projoppf), n_particles, ess_threshold,
-               resample_alpha, resample_omega
-[experiment]   n_observations, burn_in, trials, base_seed, truth_noise,
-               sweep_r_p, sweep_r_d, sweep_forcing, sweep_q_scale,
-               sweep_scenario, lyapunov_steps, lyapunov_exponents,
-               lyapunov_eps, lyapunov_qr_interval
-
-Unset keys take model-dependent defaults. Sweep keys are comma-separated
-lists; an empty value means the axis is not swept.
+_TABLE maps each INI section and key to the ExperimentConfig field it sets;
+README.md (Configuration) lists the keys with their ranges. Unset keys take
+model-dependent defaults. Sweep keys are comma-separated lists; an empty value
+means the axis is not swept.
 """
 
 from __future__ import annotations
@@ -230,9 +215,10 @@ class ExperimentConfig:
         return self
 
 
+# The dataclass defaults are the Lorenz-96 ones; the shallow-water model
+# replaces these.
 _DEFAULTS_BY_MODEL = {
-    "l96": dict(dt=0.01, steps_per_observation=5, burn_in=1000,
-                training_steps=5000, training_stride=5, resample_omega=1e-2),
+    "l96": {},
     "swe": dict(dt=60.0, steps_per_observation=60, burn_in=1440,
                 training_steps=2880, training_stride=60, resample_omega=1e-4),
 }
@@ -242,55 +228,59 @@ def default_config(model_kind: str = "l96", **overrides) -> ExperimentConfig:
     """ExperimentConfig with the per-model defaults applied, then overrides.
 
     Constructing ExperimentConfig directly keeps the dataclass defaults, which
-    are tuned for Lorenz-96; this applies the same per-model substitutions that
-    load_config does (time step, observation cadence, training window).
+    are tuned for Lorenz-96; this applies the shallow-water substitutions (time
+    step, observation cadence, training window) that load_config applies too.
     """
     if model_kind not in _MODEL_KINDS:
-        raise ConfigError(f"model kind must be one of {_MODEL_KINDS}, got {model_kind!r}")
+        raise ConfigError(f"[model] kind: must be one of {_MODEL_KINDS}, got {model_kind!r}")
     fields = dict(_DEFAULTS_BY_MODEL[model_kind])
     fields.update(overrides)
     return ExperimentConfig(model_kind=model_kind, **fields).validate()
 
 
-class _Reader:
-    """configparser access with typed errors naming the section and key."""
-
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
-        self.seen = set()
-
-    def get(self, section, key, default, cast):
-        self.seen.add((section, key))
-        if not self.parser.has_option(section, key):
-            return default
-        raw = self.parser.get(section, key).strip()
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
-
-    def unknown_keys(self):
-        for section in self.parser.sections():
-            for key in self.parser.options(section):
-                if (section, key) not in self.seen:
-                    yield section, key
+def _keys(fields: str, **renamed) -> dict:
+    """INI key -> ExperimentConfig field of one section: each of fields under
+    its own name, then the keys named otherwise than their field."""
+    return {**{name: name for name in fields.split()}, **renamed}
 
 
-def _to_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+# [section] -> {key: field}; every ExperimentConfig field has exactly one key
+_TABLE = {
+    "model": _keys("dimension forcing dt steps_per_observation nx ny dx dy gravity "
+                   "coriolis friction viscosity depth jet_speed jet_width "
+                   "perturb_amplitude", kind="model_kind"),
+    "observation": _keys("scenario", fraction="obs_fraction"),
+    "noise": _keys("q_scale r_scale"),
+    "reduction": _keys("r_p r_d data_reduction training_steps training_stride "
+                       "snapshot_file basis_file dmd_rank aus_eps aus_spinup",
+                       kind="reduction_kind"),
+    "filter": _keys("n_particles ess_threshold resample_alpha resample_omega",
+                    kind="filter_kind"),
+    "experiment": _keys("n_observations burn_in trials base_seed truth_noise sweep_r_p "
+                        "sweep_r_d sweep_forcing sweep_q_scale sweep_scenario "
+                        "lyapunov_steps lyapunov_exponents lyapunov_eps "
+                        "lyapunov_qr_interval"),
+}
+# Item parser of each comma-separated sweep list
+_SWEEP_ITEMS = {"sweep_r_p": int, "sweep_r_d": int, "sweep_forcing": float,
+                "sweep_q_scale": float, "sweep_scenario": str.lower}
+# Choice fields, read case-insensitively
+_CHOICES = ("model_kind", "scenario", "reduction_kind", "data_reduction", "filter_kind")
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _to_list(cast):
-    def convert(raw: str) -> tuple:
-        items = [p.strip() for p in raw.split(",") if p.strip()]
-        return tuple(cast(p) for p in items)
-
-    return convert
+def _parse(name: str, raw: str):
+    """The value of field name written as raw; ValueError if it is malformed.
+    The type is that of the field's default: bool, int, float or str."""
+    if name in _SWEEP_ITEMS:
+        return tuple(_SWEEP_ITEMS[name](p.strip()) for p in raw.split(",") if p.strip())
+    kind = type(_DEFAULTS[name])
+    if kind is bool:
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    value = kind(raw)
+    return value.lower() if name in _CHOICES else value
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -303,71 +293,22 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    r = _Reader(parser)
-    kind = r.get("model", "kind", "l96", str).lower()
-    if kind not in _MODEL_KINDS:
-        raise ConfigError(f"[model] kind: must be one of {_MODEL_KINDS}, got {kind!r}")
-    dd = _DEFAULTS_BY_MODEL[kind]
-
-    cfg = ExperimentConfig(
-        model_kind=kind,
-        dimension=r.get("model", "dimension", 40, int),
-        forcing=r.get("model", "forcing", 8.0, float),
-        dt=r.get("model", "dt", dd["dt"], float),
-        steps_per_observation=r.get("model", "steps_per_observation",
-                                    dd["steps_per_observation"], int),
-        nx=r.get("model", "nx", 64, int),
-        ny=r.get("model", "ny", 16, int),
-        dx=r.get("model", "dx", 20000.0, float),
-        dy=r.get("model", "dy", 20000.0, float),
-        gravity=r.get("model", "gravity", 9.81, float),
-        coriolis=r.get("model", "coriolis", 1e-4, float),
-        friction=r.get("model", "friction", 1e-6, float),
-        viscosity=r.get("model", "viscosity", 1e4, float),
-        depth=r.get("model", "depth", 250.0, float),
-        jet_speed=r.get("model", "jet_speed", 5.0, float),
-        jet_width=r.get("model", "jet_width", 80000.0, float),
-        perturb_amplitude=r.get("model", "perturb_amplitude", 0.5, float),
-        scenario=r.get("observation", "scenario", "all", str).lower(),
-        obs_fraction=r.get("observation", "fraction", 1.0, float),
-        q_scale=r.get("noise", "q_scale", 0.1, float),
-        r_scale=r.get("noise", "r_scale", 0.01, float),
-        reduction_kind=r.get("reduction", "kind", "identity", str).lower(),
-        r_p=r.get("reduction", "r_p", 20, int),
-        r_d=r.get("reduction", "r_d", 5, int),
-        data_reduction=r.get("reduction", "data_reduction", "model", str).lower(),
-        training_steps=r.get("reduction", "training_steps", dd["training_steps"], int),
-        training_stride=r.get("reduction", "training_stride", dd["training_stride"], int),
-        snapshot_file=r.get("reduction", "snapshot_file", "", str),
-        basis_file=r.get("reduction", "basis_file", "", str),
-        dmd_rank=r.get("reduction", "dmd_rank", 0, int),
-        aus_eps=r.get("reduction", "aus_eps", 1e-6, float),
-        aus_spinup=r.get("reduction", "aus_spinup", 100, int),
-        filter_kind=r.get("filter", "kind", "oppf", str).lower(),
-        n_particles=r.get("filter", "n_particles", 20, int),
-        ess_threshold=r.get("filter", "ess_threshold", 0.5, float),
-        resample_alpha=r.get("filter", "resample_alpha", 0.99, float),
-        resample_omega=r.get("filter", "resample_omega", dd["resample_omega"], float),
-        n_observations=r.get("experiment", "n_observations", 1000, int),
-        burn_in=r.get("experiment", "burn_in", dd["burn_in"], int),
-        trials=r.get("experiment", "trials", 10, int),
-        base_seed=r.get("experiment", "base_seed", 1234, int),
-        truth_noise=r.get("experiment", "truth_noise", True, _to_bool),
-        sweep_r_p=r.get("experiment", "sweep_r_p", (), _to_list(int)),
-        sweep_r_d=r.get("experiment", "sweep_r_d", (), _to_list(int)),
-        sweep_forcing=r.get("experiment", "sweep_forcing", (), _to_list(float)),
-        sweep_q_scale=r.get("experiment", "sweep_q_scale", (), _to_list(float)),
-        sweep_scenario=r.get("experiment", "sweep_scenario", (), _to_list(str)),
-        lyapunov_steps=r.get("experiment", "lyapunov_steps", 100000, int),
-        lyapunov_exponents=r.get("experiment", "lyapunov_exponents", 34, int),
-        lyapunov_eps=r.get("experiment", "lyapunov_eps", 1e-6, float),
-        lyapunov_qr_interval=r.get("experiment", "lyapunov_qr_interval", 10, int),
-    )
-    unknown = sorted(r.unknown_keys())
+    values, unknown = {}, []
+    for section in parser.sections():
+        for key in parser.options(section):
+            name = _TABLE.get(section, {}).get(key)
+            if name is None:
+                unknown.append((section, key))
+                continue
+            raw = parser.get(section, key).strip()
+            try:
+                values[name] = _parse(name, raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
     if unknown:
-        where = ", ".join(f"[{s}] {k}" for s, k in unknown)
+        where = ", ".join(f"[{s}] {k}" for s, k in sorted(unknown))
         raise ConfigError(f"unknown config keys: {where}")
-    return cfg.validate()
+    return default_config(values.pop("model_kind", "l96"), **values)
 
 
 def replace(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:

@@ -136,7 +136,7 @@ class ReductionDriver:
 
     POD and DMD bases are fixed; the unstable-subspace basis is re-derived
     every cycle by propagating tangent directions from the current analysis
-    mean, so advance() must run before each filter step and commit() after."""
+    mean, so advance() must run before each filter step."""
 
     def __init__(self, config: ExperimentConfig, model, h, q, r,
                  snapshots, anchors, rng: RngStream):
@@ -144,7 +144,6 @@ class ReductionDriver:
         self.model = model
         self.h, self.q, self.r = h, q, r
         self.time_dependent = False
-        self._u_next = None
 
         if config.uses_identity_reduction:
             self.reduced = identity_reduced_model(model, h, q, r)
@@ -180,7 +179,6 @@ class ReductionDriver:
             data_snaps = h.apply(snapshots)
             v = pod_basis(data_snaps.T, config.r_d)
         self.u = u
-        self.v = v
         self.initial_basis = u
         if self.time_dependent:
             self.reduced = None
@@ -198,22 +196,19 @@ class ReductionDriver:
         return u
 
     def advance(self, ensemble):
-        """Prepare the reduced model of the upcoming cycle."""
+        """Prepare the reduced model of the upcoming cycle: a time-dependent
+        basis steps from the current u to the next, which becomes u."""
         if not self.time_dependent:
             return self.reduced
         anchor = self.u.reconstruct(ensemble.mean())
         u_next, _ = aus_step(self.model, anchor, self.u, eps=self.config.aus_eps)
-        self._u_next = u_next
         self.reduced = build_reduced_model(
             self.model, self.h, self.q, self.r,
             u=self.u, u_out=u_next, v=u_next.leading(self.config.r_d),
             kind="model",
         )
+        self.u = u_next
         return self.reduced
-
-    def commit(self):
-        if self.time_dependent:
-            self.u = self._u_next
 
 
 def run_trial(config: ExperimentConfig, trial_index: int,
@@ -264,7 +259,6 @@ def run_trial(config: ExperimentConfig, trial_index: int,
                 ensemble = proj_oppf_step(ensemble, reduced, y, y_hat, step_rng, fcfg)
             else:
                 ensemble = proj_pf_step(ensemble, reduced, y_hat, step_rng, fcfg)
-            driver.commit()
 
             z_mean = ensemble.mean()
             x_est = reduced.basis_out.reconstruct(z_mean)

@@ -96,6 +96,13 @@ def _converging(routine: str, a: np.ndarray):
             f"{routine} of a {a.shape[0]}x{a.shape[1]} matrix failed: {exc}") from exc
 
 
+def _numerical_rank(s: np.ndarray, shape: tuple) -> int:
+    """Number of the descending singular values s of a matrix of the given
+    shape above max(shape) * eps * s[0]."""
+    tol = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    return int(np.sum(s > tol))
+
+
 def _check_finite(a, name: str) -> np.ndarray:
     """a as a float array; non-finite entries raise a NumericsError naming it."""
     a = np.asarray(a, dtype=float)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ReductionError
-from ..numerics import _converging
+from ..numerics import _converging, _numerical_rank
 from .basis import ReductionBasis
 
 logger = logging.getLogger("projda.reduction.dmd")
@@ -68,8 +68,7 @@ def dmd(snapshots: np.ndarray, rank: int | None = None, dt: float = 1.0) -> DmdR
 
     with _converging("np.linalg.svd", x1):
         phi, sigma, psi_t = np.linalg.svd(x1, full_matrices=False)
-    tol = max(x1.shape) * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)
-    numerical_rank = int(np.sum(sigma > tol))
+    numerical_rank = _numerical_rank(sigma, x1.shape)
     if rank is None:
         rank = min(n_pairs, int(np.floor(0.9 * m)), numerical_rank)
         rank = max(rank, 1)
@@ -189,8 +188,7 @@ def dmd_basis(result: DmdResult, r: int) -> ReductionBasis:
     stack = np.column_stack(directions)
     with _converging("np.linalg.svd", stack):
         u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    tol = max(stack.shape) * np.finfo(float).eps * s[0]
-    rank_s = int(np.sum(s > tol))
+    rank_s = _numerical_rank(s, stack.shape)
     if rank_s < stack.shape[1]:
         raise ReductionError(
             f"selected DMD directions are linearly dependent "

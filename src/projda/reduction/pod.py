@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ReductionError
-from ..numerics import _converging
+from ..numerics import _converging, _numerical_rank
 from .basis import ReductionBasis
 
 
@@ -24,8 +24,7 @@ def pod_basis(snapshots: np.ndarray, r: int) -> ReductionBasis:
         raise ReductionError("rank must be >= 1")
     with _converging("np.linalg.svd", x):
         u, s, _ = np.linalg.svd(x, full_matrices=False)
-    tol = max(x.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    numerical_rank = int(np.sum(s > tol))
+    numerical_rank = _numerical_rank(s, x.shape)
     if r > numerical_rank:
         raise ReductionError(
             f"requested rank {r} exceeds the numerical rank {numerical_rank} "

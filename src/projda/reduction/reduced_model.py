@@ -252,11 +252,10 @@ def build_reduced_model(model, h: ObservationOperator, q: NoiseSpec, r: NoiseSpe
     or d x r_d for kind='data', defaulting to u itself; u_out supports
     time-dependent bases (defaults to u).
     """
-    kind = {"model-based": "model", "data-based": "data"}.get(kind, kind)
     if v is None:
-        v = u if kind == "model" else None
-    if v is None:
-        raise ReductionError("data-based reduction requires an explicit data basis")
+        if kind == "data":
+            raise ReductionError("data-based reduction requires an explicit data basis")
+        v = u
     return ReducedModel(model, h, q, r, basis_in=u, basis_out=u_out or u,
                         data_basis=v, data_kind=kind)
 

@@ -6,9 +6,11 @@ and neither depends on worker count or on whether snapshots come from a file
 or are regenerated.
 """
 
+import dataclasses
 import functools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 import projda.experiments.trial as trial_module
 from projda.errors import ConfigError
 from projda.experiments import (
+    ExperimentConfig,
     MetricsRecord,
     default_config,
     load_config,
@@ -33,7 +36,10 @@ from projda.experiments import (
     write_trial_csv,
 )
 from projda.models import save_snapshots
+from projda.experiments.config import _TABLE
 from projda.reduction import ReductionBasis, pod_basis, save_basis
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _blas_threads():
@@ -177,6 +183,52 @@ class TestLoadConfig:
             "[experiment]\nsweep_r_p = 4, 6\nburn_in = 50\n"
         )
         assert load_config(str(path)).sweep_r_p == (4, 6)
+
+    def test_sweep_scenario_is_lowercased(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[model]\nkind = swe\n[experiment]\nsweep_scenario = UV, h\n")
+        assert load_config(str(path)).sweep_scenario == ("uv", "h")
+
+    def test_table_sets_every_field_from_one_key(self):
+        keys = [name for section in _TABLE.values() for name in section.values()]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+    @pytest.mark.parametrize("model_kind", ["swe", "l96"])
+    def test_written_config_loads_back_equal(self, tmp_path, model_kind):
+        # every field but sweep_forcing differs from its default in the swe
+        # config; sweep_forcing applies to l96 only
+        swe = default_config(
+            "swe", dimension=12, forcing=3.0, dt=30.0, steps_per_observation=10,
+            nx=8, ny=4, dx=1e4, dy=1.5e4, gravity=9.8, coriolis=2e-4, friction=2e-6,
+            viscosity=2e3, depth=100.0, jet_speed=3.0, jet_width=5e4,
+            perturb_amplitude=0.25, scenario="uv", obs_fraction=0.5, q_scale=0.2,
+            r_scale=0.05, reduction_kind="dmd", r_p=6, r_d=3, data_reduction="data",
+            training_steps=300, training_stride=30, snapshot_file="truth.bin",
+            basis_file="basis.bin", dmd_rank=4, aus_eps=1e-5, aus_spinup=50,
+            filter_kind="projpf", n_particles=7, ess_threshold=0.4, resample_alpha=0.95,
+            resample_omega=1e-3, n_observations=12, burn_in=60, trials=3, base_seed=9,
+            truth_noise=False, sweep_r_p=(4, 6), sweep_r_d=(2, 3),
+            sweep_q_scale=(0.1, 0.2), sweep_scenario=("uv", "h"), lyapunov_steps=500,
+            lyapunov_exponents=5, lyapunov_eps=1e-7, lyapunov_qr_interval=5)
+        default = ExperimentConfig()
+        assert [f.name for f in dataclasses.fields(swe)
+                if getattr(swe, f.name) == getattr(default, f.name)] == ["sweep_forcing"]
+        cfg = swe if model_kind == "swe" else _tiny(sweep_forcing=(3.0, 8.0))
+        lines = []
+        for section, keys in _TABLE.items():
+            lines.append(f"[{section}]")
+            for key, name in keys.items():
+                value = getattr(cfg, name)
+                if isinstance(value, tuple):
+                    value = ", ".join(map(str, value))
+                lines.append(f"{key} = {value}")
+        path = tmp_path / "exp.ini"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_config(str(path)) == cfg
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        assert load_config(str(path)).model_kind == path.name.split("_")[0]
 
 
 class TestMetrics:

@@ -360,12 +360,13 @@ class TestReducedModel:
         with pytest.raises(ReductionError):
             build_reduced_model(model, h, q, r, u, kind="data")
 
-    def test_kind_aliases(self):
+    @pytest.mark.parametrize("alias", ["model-based", "data-based"])
+    def test_kind_aliases_rejected(self, alias):
         model, h, q, r, _ = _small_setup()
         u_cols, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((8, 3)))
-        red = build_reduced_model(model, h, q, r, ReductionBasis(u_cols, kind="pod"),
-                                  kind="model-based")
-        assert red.data_kind == "model"
+        with pytest.raises(ValueError, match="'model' or 'data'"):
+            build_reduced_model(model, h, q, r, ReductionBasis(u_cols, kind="pod"),
+                                kind=alias)
 
     def test_unobserved_data_basis_rejected(self):
         # a basis whose observed rows are rank deficient gives a singular R^q
