@@ -284,7 +284,9 @@ def _parse(name: str, raw: str):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal: a '%' is a character, not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -6,13 +6,19 @@ projected jitter when the effective sample size drops below a threshold.
 The full-space filters are the same steps run with identity_reduced_model,
 whose identity bases leave every map exact.
 
-RNG contract per step, given the step's stream: particle l draws its proposal
-noise from child(l) (l = 0..L-1); an eventual resample uses child(L), first
-one uniform for the systematic offset, then an (L, M) jitter block.
+RNG contract per step, given the step's stream: the step builds the stream's
+generator once and addresses its Philox by counter lane. Lane l starts at
+counter [0, 0, l, 0] under the stream's key with an empty buffer, so lane 0 is
+the stream's generator() itself and two lanes overlap only after 2**128 blocks.
+Particle l draws its proposal noise from lane l (l = 0..L-1); an eventual
+resample uses lane L, first one uniform for the systematic offset, then an
+(L, M) jitter block. Adding a particle leaves the other particles' draws as
+they were.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +57,9 @@ class ParticleEnsemble:
             raise ValueError(f"particles must be (n, dim), got shape {particles.shape}")
         if weights.shape != (particles.shape[0],):
             raise ValueError("weights must be one per particle")
-        if not np.all(np.isfinite(particles)):
+        if not np.isfinite(particles).all():
             raise ValueError("particles contain non-finite entries")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        if (weights < 0).any() or not np.isfinite(weights).all():
             raise ValueError("weights must be finite and nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
@@ -96,7 +102,7 @@ def ess(weights) -> float:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DegenerateWeightsError("weights must be a nonempty vector")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    if (w < 0).any() or not np.isfinite(w).all():
         raise DegenerateWeightsError("weights must be finite and nonnegative")
     total = w.sum()
     if total <= 0.0:
@@ -111,7 +117,7 @@ def systematic_resample(weights, rng) -> np.ndarray:
     within one of n * weight times.
     """
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    if (w < 0).any() or not np.isfinite(w).all():
         raise DegenerateWeightsError("weights must be finite and nonnegative")
     total = w.sum()
     if total <= 0.0:
@@ -138,14 +144,15 @@ def _normalized_from_log(log_w: np.ndarray) -> np.ndarray:
 
 
 def _finish_step(reduced: ReducedModel, z_new: np.ndarray, log_w: np.ndarray,
-                 rng: RngStream, config: FilterConfig) -> ParticleEnsemble:
+                 lane: Callable[[int], np.random.Generator],
+                 config: FilterConfig) -> ParticleEnsemble:
     """Normalize weights, then resample with projected jitter if ESS is low."""
     w = _normalized_from_log(log_w)
     n = w.size
     sample_size = ess(w)
     resampled = sample_size < config.ess_threshold_fraction * n
     if resampled:
-        gen = rng.child(n).generator()
+        gen = lane(n)
         ancestors = systematic_resample(w, gen)
         z_new = z_new[ancestors] + reduced.jitter_noise(
             gen, n, config.resample_omega, config.resample_alpha
@@ -154,12 +161,38 @@ def _finish_step(reduced: ReducedModel, z_new: np.ndarray, log_w: np.ndarray,
     return ParticleEnsemble(z_new, w, last_ess=sample_size, last_resampled=resampled)
 
 
-def _proposal_draws(rng: RngStream, n: int, dim: int) -> np.ndarray:
-    # one substream per particle, so particle count changes never shift
-    # another particle's draws
-    return np.stack([
-        rng.child(l).generator().standard_normal(dim) for l in range(n)
-    ])
+def _lanes(rng: RngStream) -> Callable[[int], np.random.Generator]:
+    """lane(l) -> the step stream's one generator, repositioned at the start
+    of counter lane l: Philox counter [0, 0, l, 0], the stream's key, an
+    empty buffer."""
+    gen = rng.generator()
+    bit_generator = gen.bit_generator
+    counter = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": bit_generator.state["state"]["key"]},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def lane(l: int) -> np.random.Generator:
+        counter[2] = l
+        bit_generator.state = state
+        return gen
+
+    return lane
+
+
+def _proposal_draws(lane: Callable[[int], np.random.Generator], n: int,
+                    dim: int) -> np.ndarray:
+    # one lane per particle, so particle count changes never shift another
+    # particle's draws
+    xi = np.empty((n, dim))
+    for l in range(n):
+        lane(l).standard_normal(out=xi[l])
+    return xi
 
 
 def proj_pf_step(ensemble: ParticleEnsemble, reduced: ReducedModel,
@@ -170,12 +203,13 @@ def proj_pf_step(ensemble: ParticleEnsemble, reduced: ReducedModel,
     config = config or FilterConfig()
     y_hat = np.asarray(y_hat, dtype=float)
     fz = reduced.forecast(ensemble.particles)
-    xi = _proposal_draws(rng, ensemble.n_particles, reduced.reduced_dim)
+    lane = _lanes(rng)
+    xi = _proposal_draws(lane, ensemble.n_particles, reduced.reduced_dim)
     z_new = fz + reduced.q_q.color(xi)
     nu = y_hat[None, :] - z_new @ reduced.h_q.T
     with np.errstate(divide="ignore"):
         log_w = np.log(ensemble.weights) - 0.5 * reduced.r_q.quad(nu)
-    return _finish_step(reduced, z_new, log_w, rng, config)
+    return _finish_step(reduced, z_new, log_w, lane, config)
 
 
 def proj_oppf_step(ensemble: ParticleEnsemble, reduced: ReducedModel,
@@ -189,9 +223,10 @@ def proj_oppf_step(ensemble: ParticleEnsemble, reduced: ReducedModel,
     proposal = reduced.optimal_proposal()
     fz = reduced.forecast(ensemble.particles)
     resid = y[None, :] - fz @ reduced.hu.T
-    xi = _proposal_draws(rng, ensemble.n_particles, reduced.reduced_dim)
+    lane = _lanes(rng)
+    xi = _proposal_draws(lane, ensemble.n_particles, reduced.reduced_dim)
     z_new = fz + proposal.mean_shift(resid) + proposal.sample_delta(xi)
     nu = y_hat[None, :] - fz @ reduced.h_q.T
     with np.errstate(divide="ignore"):
         log_w = np.log(ensemble.weights) - 0.5 * reduced.weight_quad(nu)
-    return _finish_step(reduced, z_new, log_w, rng, config)
+    return _finish_step(reduced, z_new, log_w, lane, config)

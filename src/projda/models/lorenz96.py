@@ -49,7 +49,7 @@ def step_rk4(rhs, state: np.ndarray, dt: float) -> np.ndarray:
     k3 = rhs(state + 0.5 * dt * k2)
     k4 = rhs(state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise BlowupError("RK4 step produced non-finite values")
     return out
 

@@ -72,7 +72,8 @@ def _as_generator(rng) -> np.random.Generator:
 
 # Purpose identifiers for the standard substream hierarchy used by the
 # experiment driver: trial stream = RngStream(base_seed).child(trial_index),
-# then one of these, then any per-time / per-particle indices.
+# then one of these, then any per-time index. A filter step addresses its
+# particles by counter lanes of its stream's generator (see projda.filters).
 TRUTH_IC = 0
 TRUTH_NOISE = 1
 OBS_NOISE = 2
@@ -106,7 +107,7 @@ def _numerical_rank(s: np.ndarray, shape: tuple) -> int:
 def _check_finite(a, name: str) -> np.ndarray:
     """a as a float array; non-finite entries raise a NumericsError naming it."""
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericsError(f"{name} contains non-finite entries")
     return a
 

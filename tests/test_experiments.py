@@ -189,6 +189,11 @@ class TestLoadConfig:
         path.write_text("[model]\nkind = swe\n[experiment]\nsweep_scenario = UV, h\n")
         assert load_config(str(path)).sweep_scenario == ("uv", "h")
 
+    def test_percent_in_value_loads_literally(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[model]\nkind = l96\n[reduction]\nsnapshot_file = run%1.bin\n")
+        assert load_config(str(path)).snapshot_file == "run%1.bin"
+
     def test_table_sets_every_field_from_one_key(self):
         keys = [name for section in _TABLE.values() for name in section.values()]
         assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))

@@ -17,6 +17,7 @@ from projda.errors import DegenerateWeightsError, ReductionError, WeightCollapse
 from projda.filters import (
     FilterConfig,
     ParticleEnsemble,
+    _lanes,
     _normalized_from_log,
     ess,
     initialize_ensemble,
@@ -189,9 +190,18 @@ def _spread_ensemble(model, n, scale, seed=3):
         (n, model.dimension)))
 
 
+def _lane(step_rng, l):
+    """Counter lane l of a step stream, built apart from the filters' route: a
+    new Philox under the stream's key, started at counter [0, 0, l, 0]."""
+    key = step_rng.generator().bit_generator.state["state"]["key"]
+    counter = np.array([0, 0, l, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
 class TestBootstrapStep:
     def test_matches_hand_rolled_reference(self):
-        model, h, q, r = _l96_setup()
+        # R = 0.5 I keeps the weights spread, so the step does not resample
+        model, h, q, r = _l96_setup(r_scale=0.5)
         e = _spread_ensemble(model, 4, 0.05)
         y = h.apply(model.cycle_map(e.particles[0])) + 0.05
         step_rng = RngStream(2).child(5, 1)
@@ -199,18 +209,15 @@ class TestBootstrapStep:
 
         # reference: same proposal draws, direct likelihood arithmetic
         fz = model.cycle_map(e.particles.T).T
-        xi = np.stack([step_rng.child(l).generator().standard_normal(6)
-                       for l in range(4)])
+        xi = np.stack([_lane(step_rng, l).standard_normal(6) for l in range(4)])
         z_new = fz + np.sqrt(0.1) * xi
-        logw = -0.5 * np.sum((y - z_new[:, h.indices]) ** 2, axis=1) / 0.01 \
+        logw = -0.5 * np.sum((y - z_new[:, h.indices]) ** 2, axis=1) / 0.5 \
             + np.log(e.weights)
         w = np.exp(logw - logw.max())
         w = w / w.sum()
-        if ess(w) >= 2.0:  # no resample at threshold 0.5 * 4
-            np.testing.assert_array_equal(out.particles, z_new)
-            np.testing.assert_allclose(out.weights, w, atol=1e-13)
-        else:
-            assert out.last_resampled
+        assert ess(w) >= 2.0 and not out.last_resampled  # threshold 0.5 * 4
+        np.testing.assert_array_equal(out.particles, z_new)
+        np.testing.assert_allclose(out.weights, w, atol=1e-13)
 
     def test_proposal_noise_is_per_particle_addressed(self):
         # adding a particle must not change the draws of existing ones
@@ -270,7 +277,7 @@ class TestOptimalProposalStep:
         cfg = FilterConfig(ess_threshold_fraction=1e-9)
         out = _full_oppf(e, model, h, q, r, y, rng, cfg)
         fz = model.cycle_map(e.particles.T).T
-        xi = np.stack([rng.child(l).generator().standard_normal(5) for l in range(3)])
+        xi = np.stack([_lane(rng, l).standard_normal(5) for l in range(3)])
         qp = 1.0 / (1.0 / qs + 1.0 / rs)
         expect = fz + (y - fz) * qs / (qs + rs) + np.sqrt(qp) * xi
         np.testing.assert_allclose(out.particles, expect, atol=1e-12)
@@ -417,15 +424,69 @@ class TestResampling:
         assert out.weights.max() > 0.99  # collapsed but kept
 
     def test_resample_rng_replay(self):
-        # resample consumes child(L): one uniform, then an (L, M) jitter block
+        # resample consumes lane L: one uniform, then an (L, M) jitter block
         out, rng, red, cfg = self._collapsing_step()
         no_resample, *_ = self._collapsing_step(threshold=1e-9)
         w = no_resample.weights
-        gen = rng.child(4).generator()
+        gen = _lane(rng, 4)
         ancestors = systematic_resample(w, gen)
         jitter = red.jitter_noise(gen, 4, cfg.resample_omega, cfg.resample_alpha)
         np.testing.assert_array_equal(out.particles,
                                       no_resample.particles[ancestors] + jitter)
+
+
+class TestCounterLanes:
+    """A filter step builds its stream's generator once: particle l draws from
+    counter lane l of its Philox, an eventual resample from lane L."""
+
+    def test_lane_zero_is_the_stream_generator(self):
+        rng = RngStream(11).child(5, 3)
+        lane0, fresh = _lanes(rng)(0).bit_generator, rng.generator().bit_generator
+        a, b = lane0.state, fresh.state
+        np.testing.assert_array_equal(a["state"]["counter"], b["state"]["counter"])
+        np.testing.assert_array_equal(a["state"]["key"], b["state"]["key"])
+        assert (a["buffer_pos"], a["has_uint32"]) == (b["buffer_pos"], b["has_uint32"])
+        np.testing.assert_array_equal(lane0.random_raw(9), fresh.random_raw(9))
+
+    def test_lanes_are_pairwise_different_and_replayable(self):
+        rng = RngStream(11).child(5, 3)
+        lane = _lanes(rng)
+        n = 20
+        first = [tuple(lane(l).bit_generator.random_raw(4)) for l in range(n + 1)]
+        assert len(set(first)) == n + 1
+        # repositioning after other lanes' draws restarts the lane
+        for l in (n, 0, 7):
+            np.testing.assert_array_equal(lane(l).standard_normal(9),
+                                          _lane(rng, l).standard_normal(9))
+
+    @pytest.mark.parametrize("step", [_full_oppf, _full_pf], ids=["oppf", "pf"])
+    def test_one_generator_per_step(self, monkeypatch, step):
+        model, h, q, r = _l96_setup(m=20, every=2)
+        e = _spread_ensemble(model, 20, 0.05)
+        y = h.apply(model.cycle_map(e.particles[0]))
+        rng = RngStream(8).child(5, 2)
+        built = []
+        generator = RngStream.generator
+
+        def counted(stream):
+            built.append(stream.key)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", counted)
+        out = step(e, model, h, q, r, y, rng, FilterConfig(ess_threshold_fraction=1.0))
+        assert out.last_resampled
+        assert built == [rng.key]
+
+    def test_lane_draws_are_pinned(self):
+        # the same sample sequence across runs and platforms, numpy 1.24 to 2.x:
+        # lane 2 of trial 0's step-1 stream, positioned through Philox.state
+        gen = _lanes(RngStream(0).child(5, 1))(2)
+        state = gen.bit_generator.state
+        np.testing.assert_array_equal(state["state"]["counter"], [0, 0, 2, 0])
+        assert state["buffer_pos"] == 4
+        np.testing.assert_array_equal(
+            gen.standard_normal(3),
+            [-0.4140104958926921, 1.568684214286947, 0.45096681979596104])
 
 
 class TestProjectedResampleNoise:

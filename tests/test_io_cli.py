@@ -383,6 +383,18 @@ class TestCliErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
 
+    def test_percent_in_value_reaches_the_missing_file(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # '%' is literal, so the commands fail on the missing file itself
+        monkeypatch.chdir(tmp_path)
+        ini = _write_ini(tmp_path, reduction_extra="snapshot_file = run%1.bin\n")
+        assert dispatch(["reduce", "--config", ini]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: snapshot"), lines
+        assert "run%1.bin" in lines[0]
+        assert dispatch(["assimilate", "--config", ini]) == 1
+        assert "all 2 trials failed" in capsys.readouterr().out
+
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         ini = _write_ini(tmp_path)
         assert dispatch(["assimilate", "--config", ini, "--bogus"]) == 2

@@ -52,6 +52,19 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_defers_numpy_random():
+    # numpy 2 loads numpy.random on first use, and it adds about 6 MiB resident;
+    # loaded at import time, before the spin-up's temporaries, it raises a run's
+    # peak RSS by as much. numpy 1.x loads it with numpy itself.
+    out = _run_python("import sys, numpy\n"
+                      "before = {m for m in sys.modules if m.startswith('numpy.random')}\n"
+                      "import projda.cli\n"
+                      "print(sorted(m for m in sys.modules\n"
+                      "             if m.startswith('numpy.random') and m not in before))\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_model_based_projoppf_runs_without_scipy():
     # a POD state basis and a model-based data reduction take the dense R^q,
     # weighting and proposal routes
