@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import ExperimentConfig, replace
 from .metrics import MetricsRecord
-from .trial import run_trial
+from .trial import _file_inputs, run_trial
 
 logger = logging.getLogger("projda.experiments")
 
@@ -84,8 +84,16 @@ def _run_task(args, spin_ups: dict | None = None):
     return point_index, trial_index, run_trial(cfg, trial_index, spin_ups)
 
 
+def _check_file_inputs(points: list[ExperimentConfig]):
+    """Read every point's input files before any trial runs, so that a bad
+    file stops the run with one ReductionError; each trial reads them again."""
+    for cfg in points:
+        _file_inputs(cfg, cfg.build_model().dimension)
+
+
 def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
     """All trials of a single configuration, in trial order."""
+    _check_file_inputs([config])
     chunks = [[(0, t, config)] for t in range(config.trials)]
     results = _execute(chunks, *_pool_shape(jobs, config.trials))
     return [results[(0, t)] for t in range(config.trials)]
@@ -209,6 +217,7 @@ def summarize(config: ExperimentConfig, records: list[MetricsRecord]) -> Summary
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
     points = sweep_points(config)
+    _check_file_inputs(points)
     workers, blas_threads = _pool_shape(jobs, len(points) * config.trials)
     chunks = [[(p, t, points[p]) for p, t in chunk]
               for chunk in _trial_chunks(len(points), config.trials, workers)]

@@ -58,6 +58,35 @@ def _needs_snapshots(config: ExperimentConfig) -> bool:
     return from_training or config.data_reduction == "data"
 
 
+def _file_inputs(config: ExperimentConfig, dimension: int) -> tuple:
+    """The snapshots and the basis a trial of config reads from its
+    snapshot_file and basis_file, each None where it reads no such file.
+    Raises ReductionError naming the file when it cannot be read, holds
+    states of another dimension, or has fewer than r_p basis columns."""
+    snapshots = basis = None
+    if config.snapshot_file and _needs_snapshots(config):
+        snapshots, _ = load_snapshots(config.snapshot_file)
+        if snapshots.shape[1] != dimension:
+            raise ReductionError(
+                f"snapshot file {config.snapshot_file} is for dimension "
+                f"{snapshots.shape[1]}, model has {dimension}"
+            )
+    if (config.basis_file and config.reduction_kind in ("pod", "dmd")
+            and not config.uses_identity_reduction):
+        basis = load_basis(config.basis_file)
+        if basis.state_dim != dimension:
+            raise ReductionError(
+                f"basis file {config.basis_file} is for dimension "
+                f"{basis.state_dim}, model has {dimension}"
+            )
+        if basis.rank < config.r_p:
+            raise ReductionError(
+                f"basis file {config.basis_file} holds {basis.rank} columns, "
+                f"need {config.r_p}"
+            )
+    return snapshots, basis
+
+
 def _walk(config: ExperimentConfig) -> tuple:
     """_spin_up's arguments after x0 for a trial: burn-in, training steps, the
     snapshot stride (None when the trial trains on no in-trial snapshots) and
@@ -136,7 +165,9 @@ class ReductionDriver:
 
     POD and DMD bases are fixed; the unstable-subspace basis is re-derived
     every cycle by propagating tangent directions from the current analysis
-    mean, so advance() must run before each filter step."""
+    mean, so advance() must run before each filter step. The config's
+    snapshot_file and basis_file, where it uses them, take the place of the
+    in-trial snapshots and of the trained basis."""
 
     def __init__(self, config: ExperimentConfig, model, h, q, r,
                  snapshots, anchors, rng: RngStream):
@@ -150,19 +181,12 @@ class ReductionDriver:
             self.initial_basis = self.reduced.basis_in
             return
 
+        file_snapshots, u_file = _file_inputs(config, model.dimension)
+        if file_snapshots is not None:
+            snapshots = file_snapshots
         kind = config.reduction_kind
-        if config.basis_file and kind in ("pod", "dmd"):
-            u_full = load_basis(config.basis_file)
-            if u_full.state_dim != model.dimension:
-                raise ReductionError(
-                    f"basis file is for dimension {u_full.state_dim}, "
-                    f"model has {model.dimension}"
-                )
-            if u_full.rank < config.r_p:
-                raise ReductionError(
-                    f"basis file holds {u_full.rank} columns, need {config.r_p}"
-                )
-            u = u_full.leading(config.r_p)
+        if u_file is not None:
+            u = u_file.leading(config.r_p)
         elif kind == "pod":
             u = pod_basis(snapshots.T, config.r_p)
         elif kind == "dmd":
@@ -190,7 +214,7 @@ class ReductionDriver:
         gen = rng.child(TRAINING).generator()
         seed_mat = gen.standard_normal((self.model.dimension, self.config.r_p))
         q_mat, _ = qr_positive(seed_mat)
-        u = ReductionBasis(q_mat, kind="aus", time_dependent=True, validate=False)
+        u = ReductionBasis(q_mat, kind="aus", validate=False)
         for anchor in anchors:
             u, _ = aus_step(self.model, anchor, u, eps=self.config.aus_eps)
         return u
@@ -230,13 +254,6 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     try:
         x_init = _initial_state(config, model, rng)
         x_start, snapshots, anchors = _shared_spin_up(config, model, x_init, spin_ups)
-        if config.snapshot_file and _needs_snapshots(config):
-            snapshots, _ = load_snapshots(config.snapshot_file)
-            if snapshots.shape[1] != model.dimension:
-                raise ReductionError(
-                    f"snapshot file is for dimension {snapshots.shape[1]}, "
-                    f"model has {model.dimension}"
-                )
         driver = ReductionDriver(config, model, h, q, r, snapshots, anchors, rng)
 
         z0 = driver.initial_basis.reduce(x_start)

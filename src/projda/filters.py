@@ -78,10 +78,6 @@ class ParticleEnsemble:
     def n_particles(self) -> int:
         return self.particles.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
-
     def mean(self) -> np.ndarray:
         return self.weights @ self.particles
 

@@ -11,7 +11,8 @@ class ObservationOperator:
     """Selection of distinct state indices; H is a row-subsampled identity.
 
     For such H the Moore-Penrose pseudoinverse is exactly H^T, which the
-    reduced-model assembly exploits.
+    reduced-model assembly exploits. Every k-th component of an M-vector is
+    ObservationOperator(np.arange(start, stop, k), M).
     """
 
     def __init__(self, indices, state_dim: int):
@@ -32,24 +33,9 @@ class ObservationOperator:
     def data_dim(self) -> int:
         return self.indices.size
 
-    @staticmethod
-    def identity(state_dim: int) -> "ObservationOperator":
-        return ObservationOperator(np.arange(state_dim), state_dim)
-
-    @staticmethod
-    def every_kth(state_dim: int, k: int, start: int = 0, stop: int | None = None) -> "ObservationOperator":
-        stop = state_dim if stop is None else stop
-        return ObservationOperator(np.arange(start, stop, k), state_dim)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x along the last axis; works on states and row-stacked ensembles."""
         return np.asarray(x)[..., self.indices]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.data_dim == self.state_dim and np.array_equal(
-            self.indices, np.arange(self.state_dim)
-        )
 
 
 def observe(x: np.ndarray, h: ObservationOperator, r: NoiseSpec, rng) -> np.ndarray:

@@ -1,5 +1,14 @@
 """Unstable-subspace tracking: discrete QR recursion, Lyapunov spectra,
-Kaplan-Yorke dimension."""
+Kaplan-Yorke dimension.
+
+One tangent recursion serves both uses, the discrete QR scheme of Benettin
+et al. (1980) that AUS reuses (Trevisan & Uboldi 2004): a block of directions
+is carried through a map by finite differences about a base point and
+re-orthonormalized by positive-diagonal QR. aus_step takes one such step
+through a model's cycle_map (one observation cycle); lyapunov_spectrum folds
+the same step over maps of qr_interval calls to the model's step and sums the
+log diagonal of T.
+"""
 
 from __future__ import annotations
 
@@ -10,46 +19,52 @@ from ..numerics import qr_positive
 from .basis import ReductionBasis
 
 
-def _resolve_map(model):
-    """Accept a plain callable map or a model object exposing cycle_map."""
-    if callable(model):
-        return model
-    if hasattr(model, "cycle_map"):
-        return model.cycle_map
-    raise TypeError("expected a callable map or a model with cycle_map")
+def _tangent_qr(fmap, x, columns, eps: float):
+    """One step of the tangent recursion at the point x through fmap.
 
-
-def aus_step(model, x, basis: ReductionBasis, eps: float = 1e-6):
-    """One discrete QR step of the tangent recursion along a trajectory point.
-
-    The Jacobian action is approximated by finite differences,
-    Z = [f(x + e U) - f(x)] / e column-wise with e = eps * max(||x||, 1), and
-    (U_next, T) = qr_positive(Z). Raises on basis collapse (rank-deficient Z).
+    The Jacobian action on the columns U is approximated by finite
+    differences, Z = [f(x + e U) - f(x)] / e column-wise with
+    e = eps * max(||x||, 1), and (Q, T) = qr_positive(Z). Returns
+    (f(x), (Q, T)); a rank-deficient Z raises ReductionError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    fmap = _resolve_map(model)
-    x = np.asarray(x, dtype=float)
     e = eps * max(np.linalg.norm(x), 1.0)
-    block = np.concatenate([x[:, None], x[:, None] + e * basis.columns], axis=1)
-    fblock = fmap(block)
+    fblock = fmap(np.concatenate([x[:, None], x[:, None] + e * columns], axis=1))
     z = (fblock[:, 1:] - fblock[:, :1]) / e
     try:
-        q, t = qr_positive(z)
+        return fblock[:, 0], qr_positive(z)
     except RankDeficiencyError as exc:
         raise ReductionError(f"tangent basis collapsed: {exc}") from exc
-    return ReductionBasis(q, kind="aus", time_dependent=True, validate=False), t
+
+
+def aus_step(model, x, basis: ReductionBasis, eps: float = 1e-6):
+    """One step of the tangent recursion through model.cycle_map at the
+    trajectory point x: returns the next basis Q and the triangular factor T.
+    Raises ReductionError on basis collapse (rank-deficient Z)."""
+    _, (q, t) = _tangent_qr(model.cycle_map, np.asarray(x, dtype=float),
+                            basis.columns, eps)
+    return ReductionBasis(q, kind="aus", validate=False), t
+
+
+def _steps(model, k: int):
+    """The map of k calls to model.step."""
+    def fmap(block):
+        for _ in range(k):
+            block = model.step(block)
+        return block
+    return fmap
 
 
 def lyapunov_spectrum(model, x0, n_steps: int, p: int, eps: float = 1e-6,
                       qr_interval: int = 10) -> np.ndarray:
     """Leading p Lyapunov exponents of the model's internal step map.
 
-    Benettin scheme with finite-difference tangent propagation: a cloud of p
-    perturbed copies is advanced alongside the base trajectory and
-    re-orthonormalized by positive-diagonal QR every qr_interval steps; the
-    exponents are the accumulated log diagonal of T divided by the elapsed
-    time n_steps * model.dt. Returned sorted descending.
+    The tangent recursion of aus_step, started from the first p coordinate
+    axes, over maps of qr_interval model steps (the last one shorter when
+    n_steps is not a multiple); the exponents are the accumulated log
+    diagonal of T divided by the elapsed time n_steps * model.dt. Returned
+    sorted descending.
     """
     x = np.asarray(x0, dtype=float)
     m = x.size
@@ -60,25 +75,13 @@ def lyapunov_spectrum(model, x0, n_steps: int, p: int, eps: float = 1e-6,
 
     q = np.eye(m, p)
     log_sums = np.zeros(p)
-    e = eps * max(np.linalg.norm(x), 1.0)
-    cloud = x[:, None] + e * q
-    since_qr = 0
-    for step in range(n_steps):
-        block = np.concatenate([x[:, None], cloud], axis=1)
-        block = model.step(block)
-        x = block[:, 0]
-        cloud = block[:, 1:]
-        since_qr += 1
-        if since_qr == qr_interval or step == n_steps - 1:
-            z = (cloud - x[:, None]) / e
-            try:
-                q, t = qr_positive(z)
-            except RankDeficiencyError as exc:
-                raise ReductionError(f"tangent basis collapsed at step {step}: {exc}") from exc
-            log_sums += np.log(np.diag(t))
-            e = eps * max(np.linalg.norm(x), 1.0)
-            cloud = x[:, None] + e * q
-            since_qr = 0
+    for start in range(0, n_steps, qr_interval):
+        stop = min(start + qr_interval, n_steps)
+        try:
+            x, (q, t) = _tangent_qr(_steps(model, stop - start), x, q, eps)
+        except ReductionError as exc:
+            raise ReductionError(f"at step {stop - 1}, {exc}") from exc
+        log_sums += np.log(np.diag(t))
 
     exponents = log_sums / (n_steps * model.dt)
     return np.sort(exponents)[::-1]

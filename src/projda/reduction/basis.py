@@ -23,8 +23,7 @@ class ReductionBasis:
 
     is_identity = False
 
-    def __init__(self, columns: np.ndarray, kind: str, time_dependent: bool = False,
-                 validate: bool = True):
+    def __init__(self, columns: np.ndarray, kind: str, validate: bool = True):
         # canonical layout: BLAS kernels round differently per memory order, so
         # a basis loaded from file must not differ from one built in memory
         u = np.ascontiguousarray(columns, dtype=float)
@@ -41,7 +40,6 @@ class ReductionBasis:
                 )
         self.columns = u
         self.kind = kind
-        self.time_dependent = bool(time_dependent)
 
     @property
     def state_dim(self) -> int:
@@ -65,8 +63,7 @@ class ReductionBasis:
             raise ReductionError(f"requested {r} columns, basis has {self.rank}")
         if r == self.rank:
             return self
-        return ReductionBasis(self.columns[:, :r], kind=self.kind,
-                              time_dependent=self.time_dependent, validate=False)
+        return ReductionBasis(self.columns[:, :r], kind=self.kind, validate=False)
 
 
 class _IdentityBasis(ReductionBasis):
@@ -78,7 +75,6 @@ class _IdentityBasis(ReductionBasis):
 
     def __init__(self, dim: int):
         self.kind = "identity"
-        self.time_dependent = False
         self._dim = int(dim)
 
     @property

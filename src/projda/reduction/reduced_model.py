@@ -125,14 +125,6 @@ class ReducedModel:
     def reduced_dim(self) -> int:
         return self.basis_in.rank
 
-    @property
-    def data_reduced_dim(self) -> int:
-        return self.data_basis.rank
-
-    @property
-    def is_identity(self) -> bool:
-        return self.basis_in.is_identity and self.data_basis.is_identity
-
     # -- maps ----------------------------------------------------------------
 
     def forecast(self, z_rows: np.ndarray) -> np.ndarray:

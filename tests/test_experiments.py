@@ -339,6 +339,16 @@ class TestRunTrial:
         assert "singular" in rec.failure
         assert rec.n_observations == 0
 
+    @pytest.mark.parametrize("key", ["snapshot_file", "basis_file"])
+    def test_missing_input_file_fails_the_trial(self, tmp_path, key):
+        # run_point and run_sweep check the files before any trial; a trial run
+        # on its own still turns the error into a failed record
+        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod",
+                    **{key: str(tmp_path / "nope.bin")})
+        rec = run_trial(cfg, 0)
+        assert rec.failed and "nope.bin" in rec.failure
+        assert rec.n_observations == 0
+
     def test_truth_noise_toggle_changes_truth(self):
         on = run_trial(_tiny(filter_kind="oppf"), 0)
         off = run_trial(_tiny(filter_kind="oppf", truth_noise=False), 0)

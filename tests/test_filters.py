@@ -122,7 +122,7 @@ class TestParticleEnsemble:
     def test_uniform_constructor(self):
         e = ParticleEnsemble.uniform(np.zeros((4, 2)))
         np.testing.assert_array_equal(e.weights, np.full(4, 0.25))
-        assert e.n_particles == 4 and e.dim == 2
+        assert e.n_particles == 4 and e.particles.shape == (4, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,7 +153,7 @@ def test_normalized_from_log_shift_invariant():
 
 def _l96_setup(m=6, q_scale=0.1, r_scale=0.01, every=2):
     model = L96Spec(dimension=m, forcing=8.0)
-    h = ObservationOperator.every_kth(m, every)
+    h = ObservationOperator(np.arange(0, m, every), m)
     q = NoiseSpec.scaled_identity(m, q_scale)
     r = NoiseSpec.scaled_identity(h.data_dim, r_scale)
     return model, h, q, r
@@ -253,7 +253,7 @@ class TestOptimalProposalStep:
     def test_weights_match_closed_form(self):
         # identity H: w propto exp(-0.5 |y - f(x)|^2 / (q + r))
         model = L96Spec(dimension=5)
-        h = ObservationOperator.identity(5)
+        h = ObservationOperator(np.arange(5), 5)
         q = NoiseSpec.scaled_identity(5, 0.1)
         r = NoiseSpec.scaled_identity(5, 0.01)
         e = _spread_ensemble(model, 4, 0.2)
@@ -267,7 +267,7 @@ class TestOptimalProposalStep:
 
     def test_moves_match_closed_form(self):
         model = L96Spec(dimension=5)
-        h = ObservationOperator.identity(5)
+        h = ObservationOperator(np.arange(5), 5)
         qs, rs = 0.1, 0.01
         q = NoiseSpec.scaled_identity(5, qs)
         r = NoiseSpec.scaled_identity(5, rs)
@@ -286,7 +286,7 @@ class TestOptimalProposalStep:
         # two particles with equal forecasts get equal weights no matter how
         # the proposal scatters them afterwards
         model = L96Spec(dimension=5)
-        h = ObservationOperator.identity(5)
+        h = ObservationOperator(np.arange(5), 5)
         q = NoiseSpec.scaled_identity(5, 0.5)
         r = NoiseSpec.scaled_identity(5, 0.5)
         x = model.default_state()
@@ -323,7 +323,7 @@ class TestFullSpaceWithoutDenseMatrices:
     def test_swe_shape_matches_dense_route_bit_for_bit(self, numpy_blas):
         model = SWESpec(nx=64, ny=16)
         m = model.dimension
-        h = ObservationOperator.every_kth(m, 100)
+        h = ObservationOperator(np.arange(0, m, 100), m)
         q = NoiseSpec.scaled_identity(m, 0.1)
         r = NoiseSpec.scaled_identity(h.data_dim, 0.01)
         diagonal = identity_reduced_model(model, h, q, r)
@@ -356,7 +356,7 @@ class TestFullSpaceWithoutDenseMatrices:
         # one particle makes each of the dense route's products a single row;
         # they still add only exact zeros to the diagonal route's products
         model = L96Spec(dimension=40)
-        h = ObservationOperator.every_kth(40, 4)
+        h = ObservationOperator(np.arange(0, 40, 4), 40)
         q = NoiseSpec.scaled_identity(40, 0.1)
         r = NoiseSpec.scaled_identity(h.data_dim, 0.01)
         diagonal = identity_reduced_model(model, h, q, r)
@@ -377,7 +377,7 @@ class TestFullSpaceWithoutDenseMatrices:
     def test_holds_no_state_sized_matrix(self):
         m = 3072
         model = L96Spec(dimension=m)
-        h = ObservationOperator.every_kth(m, 100)
+        h = ObservationOperator(np.arange(0, m, 100), m)
         q = NoiseSpec.scaled_identity(m, 0.1)
         r = NoiseSpec.scaled_identity(h.data_dim, 0.01)
         x = model.default_state(RngStream(1))
@@ -398,7 +398,7 @@ class TestResampling:
     def _collapsing_step(self, threshold=0.5):
         # one particle sits on the truth, the rest far away: weights collapse
         model = L96Spec(dimension=5)
-        h = ObservationOperator.identity(5)
+        h = ObservationOperator(np.arange(5), 5)
         q = NoiseSpec.scaled_identity(5, 0.01)
         r = NoiseSpec.scaled_identity(5, 0.0001)
         x = model.default_state(RngStream(2))

@@ -16,7 +16,7 @@ import pytest
 
 from projda.cli import dispatch
 from projda.errors import ReductionError
-from projda.experiments import load_config, run_point, training_trajectory
+from projda.experiments import load_config, run_point, sweep, training_trajectory
 from projda.experiments.sweep import write_trial_csv
 from projda.models import load_snapshots, save_snapshots
 from projda.reduction import ReductionBasis, load_basis, save_basis
@@ -66,6 +66,16 @@ def _save_basis_file(path):
 def _truncate(path):
     data = open(path, "rb").read()
     open(path, "wb").write(data[:8 * 5])
+
+
+def _truncated_basis(path):
+    save_basis(path, ReductionBasis(np.eye(8)[:, :6], kind="pod"))
+    _truncate(path)
+
+
+def _three_column_basis(path):
+    # fewer than the r_p = 4 of the assimilate run and of a sweep's second point
+    save_basis(path, ReductionBasis(np.eye(8)[:, :3], kind="pod"))
 
 
 def _drop_m(path):
@@ -141,32 +151,32 @@ class TestMalformedFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(start)
 
-    def test_sweep_with_bad_basis_reports_failed_trials(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["assimilate"], ["sweep"], ["sweep", "--jobs", "2"]],
+                             ids=["assimilate", "sweep", "sweep-jobs2"])
+    @pytest.mark.parametrize("make, start", [
+        (lambda path: None, "error: basis sidecar"),
+        (_truncated_basis, "error: basis file"),
+        (_three_column_basis, "error: basis file"),
+    ], ids=["missing", "truncated", "too-few-columns"])
+    def test_bad_basis_file_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                     argv, make, start):
         basis = str(tmp_path / "basis.bin")
-        save_basis(basis, ReductionBasis(np.eye(8)[:, :6], kind="pod"))
-        _truncate(basis)
+        make(basis)
         ini = _write_ini(tmp_path, reduction_extra=f"basis_file = {basis}\n",
-                         experiment_extra="sweep_r_p = 4, 6\n")
-        out = str(tmp_path / "summary.csv")
-        assert dispatch(["sweep", "--config", ini, "--out", out]) == 0
-        capsys.readouterr()
-        rows = open(out).read().splitlines()[1:]
-        assert [row.split(",")[-1] for row in rows] == ["2", "2"]
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_sweep_with_missing_basis_reports_failed_trials(self, tmp_path, capsys, jobs):
-        basis = str(tmp_path / "nope.bin")
-        ini = _write_ini(tmp_path, reduction_extra=f"basis_file = {basis}\n",
-                         experiment_extra="sweep_r_p = 4, 6\n")
-        out = str(tmp_path / "summary.csv")
-        assert dispatch(["sweep", "--config", ini, "--out", out, "--jobs", jobs]) == 0
-        capsys.readouterr()
-        rows = open(out).read().splitlines()[1:]
-        assert [row.split(",")[-1] for row in rows] == ["2", "2"]
+                         experiment_extra="sweep_r_p = 2, 4\n")
+        monkeypatch.setattr(sweep, "_execute", _no_trials)
+        assert dispatch(argv + ["--config", ini, "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(start), err
+        assert "basis.bin" in err[0]
 
 
 def _no_convergence(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _no_trials(*args, **kwargs):
+    raise AssertionError("a trial ran before the input files were checked")
 
 
 def _write_ini(tmp_path, name="exp.ini", trials=2, reduction_extra="",
@@ -392,8 +402,10 @@ class TestCliErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: snapshot"), lines
         assert "run%1.bin" in lines[0]
-        assert dispatch(["assimilate", "--config", ini]) == 1
-        assert "all 2 trials failed" in capsys.readouterr().out
+        assert dispatch(["assimilate", "--config", ini]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: snapshot"), lines
+        assert "run%1.bin" in lines[0]
 
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         ini = _write_ini(tmp_path)

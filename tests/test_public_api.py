@@ -6,7 +6,8 @@ and the experiment driver walks every deterministic trajectory. The names
 below were second copies of these or wrappers only tests called.
 
 numpy is the only runtime dependency: the package imports no scipy, and runs
-with scipy made unimportable.
+with scipy made unimportable. The README's first library example runs as
+written.
 """
 
 import os
@@ -14,12 +15,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import projda
 from projda import filters, models, numerics, reduction
+from projda.filters import ParticleEnsemble
 from projda.models import ObservationOperator, simulate
-from projda.reduction import ReductionBasis, reduced_model
+from projda.reduction import ReducedModel, ReductionBasis, identity_basis, reduced_model
 
 REMOVED = [
     "svd", "eig_general", "pseudoinverse", "sample_gaussian",
@@ -29,7 +32,19 @@ REMOVED = [
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
 OWNERS = [projda, models, simulate, numerics, filters, reduction, reduced_model,
-          ObservationOperator, ReductionBasis]
+          ObservationOperator, ReductionBasis, ReducedModel, ParticleEnsemble]
+# Names gone from one owner that keeps its other members: is_identity stays on
+# ReductionBasis, and time_dependent was an attribute of every built basis.
+REMOVED_MEMBERS = [
+    (ObservationOperator, "every_kth"),
+    (ObservationOperator, "identity"),
+    (ObservationOperator, "is_identity"),
+    (ReducedModel, "is_identity"),
+    (ReducedModel, "data_reduced_dim"),
+    (ParticleEnsemble, "dim"),
+    (ReductionBasis(np.eye(3)[:, :2], kind="aus"), "time_dependent"),
+    (identity_basis(3), "time_dependent"),
+]
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -37,12 +52,28 @@ def test_removed_helper_stays_gone(name):
     assert [owner.__name__ for owner in OWNERS if hasattr(owner, name)] == []
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
+@pytest.mark.parametrize("owner, name", REMOVED_MEMBERS, ids=[
+    f"{getattr(owner, '__name__', type(owner).__name__)}.{name}"
+    for owner, name in REMOVED_MEMBERS])
+def test_removed_member_stays_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+def _run_python(code: str, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH", "")) if p)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, cwd=cwd)
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (SRC.parent / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = _run_python(code, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "metrics.csv").read_text().startswith("trial,obs_index,")
 
 
 def test_cli_import_loads_no_scipy():

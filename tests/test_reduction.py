@@ -11,9 +11,9 @@ Hand oracles:
 import numpy as np
 import pytest
 
-from projda.errors import NumericsError, ReductionError
-from projda.models import L96Spec, ObservationOperator
-from projda.numerics import NoiseSpec, RngStream
+from projda.errors import NumericsError, RankDeficiencyError, ReductionError
+from projda.models import L96Spec, ObservationOperator, SWESpec
+from projda.numerics import NoiseSpec, RngStream, qr_positive
 from projda.reduction import (
     OptimalProposal,
     ReductionBasis,
@@ -221,8 +221,7 @@ class TestLyapunov:
     def test_aus_step_tracks_dominant_subspace(self):
         model = _DiagonalMap([3.0, 2.0, 0.1, 0.05])
         basis = ReductionBasis(np.linalg.qr(
-            np.random.default_rng(5).standard_normal((4, 2)))[0], kind="aus",
-            time_dependent=True)
+            np.random.default_rng(5).standard_normal((4, 2)))[0], kind="aus")
         x = np.array([0.01, 0.02, 0.01, 0.03])
         for _ in range(40):
             basis, t = aus_step(model, x, basis)
@@ -234,9 +233,77 @@ class TestLyapunov:
 
     def test_aus_step_rejects_collapsed_tangent(self):
         model = _DiagonalMap([1.0, 0.0, 0.0])  # rank-1 Jacobian
-        basis = ReductionBasis(np.eye(3)[:, :2], kind="aus", time_dependent=True)
+        basis = ReductionBasis(np.eye(3)[:, :2], kind="aus")
         with pytest.raises(ReductionError):
             aus_step(model, np.ones(3), basis)
+
+    def test_spectrum_collapse_names_the_step(self):
+        model = _DiagonalMap([1.0, 0.0, 0.0])
+        with pytest.raises(ReductionError, match="at step 4, tangent basis collapsed"):
+            lyapunov_spectrum(model, np.ones(3), n_steps=12, p=2, qr_interval=5)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-6])
+    def test_nonpositive_eps_rejected(self, eps):
+        model = _DiagonalMap([2.0, 1.0, 0.5])
+        basis = ReductionBasis(np.eye(3)[:, :2], kind="aus")
+        with pytest.raises(ValueError, match="eps"):
+            lyapunov_spectrum(model, np.ones(3), n_steps=10, p=2, eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            aus_step(model, np.ones(3), basis, eps=eps)
+
+
+def _benettin_reference(model, x0, n_steps, p, eps=1e-6, qr_interval=10):
+    """The Benettin loop lyapunov_spectrum ran before it shared aus_step's
+    tangent recursion, kept verbatim as the bit-for-bit reference."""
+    x = np.asarray(x0, dtype=float)
+    m = x.size
+    q = np.eye(m, p)
+    log_sums = np.zeros(p)
+    e = eps * max(np.linalg.norm(x), 1.0)
+    cloud = x[:, None] + e * q
+    since_qr = 0
+    for step in range(n_steps):
+        block = np.concatenate([x[:, None], cloud], axis=1)
+        block = model.step(block)
+        x = block[:, 0]
+        cloud = block[:, 1:]
+        since_qr += 1
+        if since_qr == qr_interval or step == n_steps - 1:
+            z = (cloud - x[:, None]) / e
+            try:
+                q, t = qr_positive(z)
+            except RankDeficiencyError as exc:
+                raise ReductionError(f"tangent basis collapsed at step {step}: {exc}") from exc
+            log_sums += np.log(np.diag(t))
+            e = eps * max(np.linalg.norm(x), 1.0)
+            cloud = x[:, None] + e * q
+            since_qr = 0
+    exponents = log_sums / (n_steps * model.dt)
+    return np.sort(exponents)[::-1]
+
+
+class TestSpectrumMatchesBenettinLoop:
+    @pytest.fixture(scope="class")
+    def l96(self):
+        model = L96Spec(dimension=40)
+        x = model.default_state()
+        for _ in range(500):
+            x = model.step(x)
+        return model, x
+
+    @pytest.mark.parametrize("p, n_steps, qr_interval",
+                             [(34, 1003, 10), (20, 997, 7), (5, 60, 1)])
+    def test_l96(self, l96, p, n_steps, qr_interval):
+        model, x0 = l96
+        lam = lyapunov_spectrum(model, x0, n_steps, p, qr_interval=qr_interval)
+        ref = _benettin_reference(model, x0, n_steps, p, qr_interval=qr_interval)
+        assert np.array_equal(lam, ref)
+
+    def test_swe_partial_last_interval(self):
+        model = SWESpec(nx=8, ny=8)
+        x0 = model.default_jet_state()
+        lam = lyapunov_spectrum(model, x0, n_steps=53, p=6)
+        assert np.array_equal(lam, _benettin_reference(model, x0, 53, 6))
 
 
 class TestConjugateNoise:
@@ -268,7 +335,7 @@ def _dense_h(h: ObservationOperator) -> np.ndarray:
 
 def _small_setup(m=8, r_p=4, r_d=2, kind="model", q_scale=0.1, r_scale=0.01):
     model = L96Spec(dimension=m, forcing=8.0)
-    h = ObservationOperator.every_kth(m, 2)
+    h = ObservationOperator(np.arange(0, m, 2), m)
     q = NoiseSpec.scaled_identity(m, q_scale)
     r = NoiseSpec.scaled_identity(h.data_dim, r_scale)
     rng = np.random.default_rng(13)
@@ -329,7 +396,7 @@ class TestReducedModel:
     def test_weight_quad_matches_direct_inverse(self):
         model, h, q, r, red = _small_setup()
         zq = red.zq_matrix()
-        nu = np.random.default_rng(6).standard_normal((5, red.data_reduced_dim))
+        nu = np.random.default_rng(6).standard_normal((5, red.data_basis.rank))
         direct = np.einsum("ij,ij->i", nu, np.linalg.solve(zq, nu.T).T)
         np.testing.assert_allclose(red.weight_quad(nu), direct, rtol=1e-10)
 
@@ -340,11 +407,11 @@ class TestReducedModel:
 
     def test_identity_reduced_model_round_trip(self):
         model = L96Spec(dimension=6)
-        h = ObservationOperator.identity(6)
+        h = ObservationOperator(np.arange(6), 6)
         q = NoiseSpec.scaled_identity(6, 0.1)
         r = NoiseSpec.scaled_identity(6, 0.01)
         red = identity_reduced_model(model, h, q, r)
-        assert red.is_identity
+        assert red.basis_in.is_identity and red.data_basis.is_identity
         z = np.random.default_rng(0).standard_normal((2, 6))
         np.testing.assert_array_equal(red.forecast(z), model.cycle_map(z.T).T)
         y = np.arange(6.0)
@@ -353,7 +420,7 @@ class TestReducedModel:
 
     def test_data_kind_requires_explicit_v(self):
         model = L96Spec(dimension=8)
-        h = ObservationOperator.every_kth(8, 2)
+        h = ObservationOperator(np.arange(0, 8, 2), 8)
         q = NoiseSpec.scaled_identity(8, 0.1)
         r = NoiseSpec.scaled_identity(4, 0.01)
         u = ReductionBasis(np.eye(8)[:, :3], kind="pod")
@@ -379,16 +446,16 @@ class TestReducedModel:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_weight_quad_rejects_non_finite_innovation(self, bad):
         model, h, q, r, red = _small_setup()
-        nu = np.ones((3, red.data_reduced_dim))
+        nu = np.ones((3, red.data_basis.rank))
         nu[1, 0] = bad
         with pytest.raises(NumericsError, match="non-finite"):
             red.weight_quad(nu)
 
     def test_non_spd_weight_matrix_is_named(self):
         model, h, q, r, red = _small_setup()
-        red.zq_matrix = lambda: -np.eye(red.data_reduced_dim)
+        red.zq_matrix = lambda: -np.eye(red.data_basis.rank)
         with pytest.raises(NumericsError, match="^weight matrix Z\\^q is singular: "):
-            red.weight_quad(np.ones((1, red.data_reduced_dim)))
+            red.weight_quad(np.ones((1, red.data_basis.rank)))
 
 
 class TestOptimalProposal:
@@ -396,7 +463,7 @@ class TestOptimalProposal:
         # H = I, U = V = I: Q_p = (1/q + 1/r)^{-1} I and Z = (q + r) I
         qs, rs = 0.1, 0.01
         model = L96Spec(dimension=5)
-        h = ObservationOperator.identity(5)
+        h = ObservationOperator(np.arange(5), 5)
         red = identity_reduced_model(model, h, NoiseSpec.scaled_identity(5, qs),
                                      NoiseSpec.scaled_identity(5, rs))
         prop = red.optimal_proposal()
@@ -408,7 +475,7 @@ class TestOptimalProposal:
         # m - f = Q_p H^T R^{-1} resid = resid * q / (q + r) for scalars
         qs, rs = 0.4, 0.1
         model = L96Spec(dimension=4)
-        h = ObservationOperator.identity(4)
+        h = ObservationOperator(np.arange(4), 4)
         red = identity_reduced_model(model, h, NoiseSpec.scaled_identity(4, qs),
                                      NoiseSpec.scaled_identity(4, rs))
         resid = np.array([[1.0, -2.0, 0.0, 4.0]])
@@ -469,7 +536,7 @@ class TestOptimalProposal:
 
     def test_zero_observation_noise_rejected(self):
         model = L96Spec(dimension=4)
-        h = ObservationOperator.identity(4)
+        h = ObservationOperator(np.arange(4), 4)
         red = identity_reduced_model(model, h, NoiseSpec.scaled_identity(4, 0.1),
                                      NoiseSpec.scaled_identity(4, 0.0))
         with pytest.raises(NumericsError, match="observation noise"):
@@ -477,7 +544,7 @@ class TestOptimalProposal:
 
     def test_zero_process_noise_rejected(self):
         model = L96Spec(dimension=4)
-        h = ObservationOperator.identity(4)
+        h = ObservationOperator(np.arange(4), 4)
         red = identity_reduced_model(model, h, NoiseSpec.scaled_identity(4, 0.0),
                                      NoiseSpec.scaled_identity(4, 0.01))
         with pytest.raises(NumericsError):
