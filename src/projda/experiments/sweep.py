@@ -13,10 +13,13 @@ cores. projda itself loads only numpy's; a library caller may also have
 scipy's, which is capped as well. The results do not depend on the thread
 count; the sweep tests check this at shapes where OpenBLAS runs threaded.
 
-Within one process, trials that start from the same state with the same
-spin-up inputs (the same trial at different r_p or r_d, say) walk the truth
-once: the first walk is kept for the rest of the sweep. Under several workers
-a sweep hands out whole trials (all points of one trial, one walk) as long as
+The tasks go out in chunks, and the (point, trial) tasks of a chunk run as
+one lockstep group (see trial.py): each cycle maps the states of all of them
+through one model call. Within one process, trials that start from the same
+state with the same spin-up inputs (the same trial at different r_p or r_d,
+say) walk the truth once, the first walk being kept for the rest of the
+sweep, and each input file is read once. Under several workers a sweep hands
+out whole trials (all points of one trial: one walk, one group) as long as
 every worker gets one; only the trials left over from an even share are split
 point by point among the workers, so that no worker idles while another runs
 a trial alone. The results never depend on it.
@@ -33,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
 from .config import ExperimentConfig, replace
 from .metrics import MetricsRecord
-from .trial import _file_inputs, run_trial
+from .trial import TrialMemo, _file_inputs, run_trial
 
 logger = logging.getLogger("projda.experiments")
 
@@ -71,31 +75,37 @@ def sweep_points(config: ExperimentConfig) -> list[ExperimentConfig]:
     return points
 
 
-# A pool worker's spin-up memo, opened by the worker's initializer and kept
-# for its life; the parent process never sets it.
-_worker_spin_ups: dict | None = None
+# A pool worker's trial memo, opened by the worker's initializer and kept for
+# its life; the parent process never sets it.
+_worker_memo: TrialMemo | None = None
 
 
-def _run_task(args, spin_ups: dict | None = None):
-    """One (point, trial) task; spin_ups defaults to the pool worker's memo."""
-    point_index, trial_index, cfg = args
-    if spin_ups is None:
-        spin_ups = _worker_spin_ups
-    return point_index, trial_index, run_trial(cfg, trial_index, spin_ups)
+def _run_chunk(chunk, memo: TrialMemo | None = None) -> list:
+    """Run a list of (point, trial, config) tasks as one lockstep group:
+    register them in memo (by default the pool worker's), then call run_trial
+    for each, the first call running them all."""
+    if memo is None:
+        memo = _worker_memo
+    memo.group = [(cfg, t) for _, t, cfg in chunk]
+    return [(p, t, run_trial(cfg, t, memo)) for p, t, cfg in chunk]
 
 
-def _check_file_inputs(points: list[ExperimentConfig]):
+def _read_input_files(points: list[ExperimentConfig]) -> TrialMemo:
     """Read every point's input files before any trial runs, so that a bad
-    file stops the run with one ReductionError; each trial reads them again."""
+    file stops the run with one ReductionError. Returns a memo holding them,
+    for the trials of this process."""
+    memo = TrialMemo()
     for cfg in points:
-        _file_inputs(cfg, cfg.build_model().dimension)
+        _file_inputs(cfg, cfg.build_model().dimension, memo.files)
+    return memo
 
 
 def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
     """All trials of a single configuration, in trial order."""
-    _check_file_inputs([config])
+    workers, blas_threads = _pool_shape(jobs, config.trials)
+    memo = _read_input_files([config])
     chunks = [[(0, t, config)] for t in range(config.trials)]
-    results = _execute(chunks, *_pool_shape(jobs, config.trials))
+    results = _execute(chunks, workers, blas_threads, memo)
     return [results[(0, t)] for t in range(config.trials)]
 
 
@@ -137,8 +147,11 @@ def _usable_cpus() -> int:
 
 def _pool_shape(jobs: int, n_tasks: int) -> tuple[int, int | None]:
     """Worker count, and the BLAS threads each worker gets (None: the library
-    keeps its own setting, as it does in the serial path)."""
-    workers = max(1, min(jobs, n_tasks))
+    keeps its own setting, as it does in the serial path). Raises ConfigError
+    for fewer than one job."""
+    if jobs < 1:
+        raise ConfigError(f"jobs (worker processes) must be >= 1, got {jobs}")
+    workers = min(jobs, n_tasks)
     if (workers == 1 or "OPENBLAS_NUM_THREADS" in os.environ
             or "OMP_NUM_THREADS" in os.environ
             or not _openblas_entry_points("set")):
@@ -154,25 +167,21 @@ def _limit_blas_threads(n_threads: int):
 
 
 def _init_worker(blas_threads: int | None):
-    global _worker_spin_ups
-    _worker_spin_ups = {}
+    global _worker_memo
+    _worker_memo = TrialMemo()
     if blas_threads is not None:
         _limit_blas_threads(blas_threads)
 
 
-def _run_chunk(chunk):
-    return [_run_task(task) for task in chunk]
-
-
-def _execute(chunks, workers: int, blas_threads: int | None) -> dict:
-    """Run lists of (point, trial, config) tasks; a pool worker takes one list
-    at a time."""
+def _execute(chunks, workers: int, blas_threads: int | None,
+             memo: TrialMemo | None = None) -> dict:
+    """Run lists of (point, trial, config) tasks, each list a lockstep group;
+    a pool worker takes one list at a time. memo is the serial path's."""
     results = {}
     if workers == 1:
-        spin_ups = {}
+        memo = TrialMemo() if memo is None else memo
         for chunk in chunks:
-            for task in chunk:
-                p, t, rec = _run_task(task, spin_ups)
+            for p, t, rec in _run_chunk(chunk, memo):
                 results[(p, t)] = rec
         return results
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -217,14 +226,14 @@ def summarize(config: ExperimentConfig, records: list[MetricsRecord]) -> Summary
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
     points = sweep_points(config)
-    _check_file_inputs(points)
     workers, blas_threads = _pool_shape(jobs, len(points) * config.trials)
+    memo = _read_input_files(points)
     chunks = [[(p, t, points[p]) for p, t in chunk]
               for chunk in _trial_chunks(len(points), config.trials, workers)]
     logger.info("sweep: %d points x %d trials, %d worker(s), BLAS threads per worker: %s",
                 len(points), config.trials, workers,
                 "library default" if blas_threads is None else blas_threads)
-    results = _execute(chunks, workers, blas_threads)
+    results = _execute(chunks, workers, blas_threads, memo)
     rows = []
     for p, cfg in enumerate(points):
         records = [results[(p, t)] for t in range(cfg.trials)]

@@ -4,11 +4,20 @@ Reproducibility contract: trial t of base seed s derives every random draw
 from RngStream(s).child(t), with fixed purpose indices below that (truth
 noise, observation noise, training, filter init, filter steps). Trials are
 therefore independent of execution order and of each other.
+
+Trials run in lockstep groups. Each cycle a trial names the states it maps
+(its truth, the tangent block of a time-dependent basis, its particles), and
+the states of every trial of the group on one model go through a single
+model.cycle_map call; each trial then finishes its cycle alone. A model maps
+every column by itself, and each mapped block is handed back in the memory
+order its own call would return, so a trial's results do not depend on its
+group. run_trial on its own runs a group of one.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +45,8 @@ from ..reduction import (
     load_basis,
     pod_basis,
 )
-from ..reduction.reduced_model import conjugate_noise
+from ..reduction.aus import tangent_block
+from ..reduction.reduced_model import conjugate_noise, forecast_columns
 from .config import ExperimentConfig
 from .metrics import MetricsRecord, rmse, rmse_projected
 
@@ -58,14 +68,17 @@ def _needs_snapshots(config: ExperimentConfig) -> bool:
     return from_training or config.data_reduction == "data"
 
 
-def _file_inputs(config: ExperimentConfig, dimension: int) -> tuple:
+def _file_inputs(config: ExperimentConfig, dimension: int,
+                 files: dict | None = None) -> tuple:
     """The snapshots and the basis a trial of config reads from its
     snapshot_file and basis_file, each None where it reads no such file.
-    Raises ReductionError naming the file when it cannot be read, holds
-    states of another dimension, or has fewer than r_p basis columns."""
+    files, when given, keeps what each file held, so that a process reads
+    each file once. Raises ReductionError naming the file when it cannot be
+    read, holds states of another dimension, or has fewer than r_p basis
+    columns."""
     snapshots = basis = None
     if config.snapshot_file and _needs_snapshots(config):
-        snapshots, _ = load_snapshots(config.snapshot_file)
+        snapshots = _read(files, config.snapshot_file, _load_states)
         if snapshots.shape[1] != dimension:
             raise ReductionError(
                 f"snapshot file {config.snapshot_file} is for dimension "
@@ -73,7 +86,7 @@ def _file_inputs(config: ExperimentConfig, dimension: int) -> tuple:
             )
     if (config.basis_file and config.reduction_kind in ("pod", "dmd")
             and not config.uses_identity_reduction):
-        basis = load_basis(config.basis_file)
+        basis = _read(files, config.basis_file, load_basis)
         if basis.state_dim != dimension:
             raise ReductionError(
                 f"basis file {config.basis_file} is for dimension "
@@ -85,6 +98,23 @@ def _file_inputs(config: ExperimentConfig, dimension: int) -> tuple:
                 f"need {config.r_p}"
             )
     return snapshots, basis
+
+
+def _load_states(path: str) -> np.ndarray:
+    """The states of a snapshot file, read-only, as trials may share them."""
+    states, _ = load_snapshots(path)
+    states.flags.writeable = False
+    return states
+
+
+def _read(files: dict | None, path: str, load):
+    """load(path), kept in files (when given) under the loader and path."""
+    if files is None:
+        return load(path)
+    key = (load, path)
+    if key not in files:
+        files[key] = load(path)
+    return files[key]
 
 
 def _walk(config: ExperimentConfig) -> tuple:
@@ -125,14 +155,12 @@ def _spin_up(model, x0, burn_in: int, training_steps: int = 0,
     return out
 
 
-def _shared_spin_up(config: ExperimentConfig, model, x0, spin_ups: dict | None):
+def _shared_spin_up(config: ExperimentConfig, model, x0, spin_ups: dict):
     """_spin_up's result for a trial, taken from spin_ups when an earlier
-    trial walked from the same state with the same inputs; spin_ups None keeps
-    nothing. The walk always covers burn_in + training_steps, so the truth is
-    the same whatever the reduction and filter."""
+    trial walked from the same state with the same inputs. The walk always
+    covers burn_in + training_steps, so the truth is the same whatever the
+    reduction and filter."""
     walk = _walk(config)
-    if spin_ups is None:
-        return _spin_up(model, x0, *walk)
     key = (model, x0.tobytes()) + walk
     walked = spin_ups.get(key)
     if walked is None:
@@ -160,17 +188,32 @@ def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
     return states, meta
 
 
+@dataclass
+class TrialMemo:
+    """What the trials of one process share: deterministic walks (spin_ups,
+    see _shared_spin_up), input files by path (files, see _file_inputs), and
+    a lockstep group, the (config, trial_index) pairs registered to run
+    together (group) with the records it finished ahead of their run_trial
+    calls (records)."""
+
+    spin_ups: dict = field(default_factory=dict)
+    files: dict = field(default_factory=dict)
+    group: list = field(default_factory=list)
+    records: dict = field(default_factory=dict)
+
+
 class ReductionDriver:
     """Owns the reduction bases of one trial and rolls them forward in time.
 
     POD and DMD bases are fixed; the unstable-subspace basis is re-derived
     every cycle by propagating tangent directions from the current analysis
-    mean, so advance() must run before each filter step. The config's
-    snapshot_file and basis_file, where it uses them, take the place of the
-    in-trial snapshots and of the trained basis."""
+    mean, so advance() must run before each filter step. u is the incoming
+    basis of the upcoming cycle. The config's snapshot_file and basis_file,
+    where it uses them, take the place of the in-trial snapshots and of the
+    trained basis; files is as in _file_inputs."""
 
     def __init__(self, config: ExperimentConfig, model, h, q, r,
-                 snapshots, anchors, rng: RngStream):
+                 snapshots, anchors, rng: RngStream, files: dict | None = None):
         self.config = config
         self.model = model
         self.h, self.q, self.r = h, q, r
@@ -178,10 +221,10 @@ class ReductionDriver:
 
         if config.uses_identity_reduction:
             self.reduced = identity_reduced_model(model, h, q, r)
-            self.initial_basis = self.reduced.basis_in
+            self.u = self.reduced.basis_in
             return
 
-        file_snapshots, u_file = _file_inputs(config, model.dimension)
+        file_snapshots, u_file = _file_inputs(config, model.dimension, files)
         if file_snapshots is not None:
             snapshots = file_snapshots
         kind = config.reduction_kind
@@ -203,7 +246,6 @@ class ReductionDriver:
             data_snaps = h.apply(snapshots)
             v = pod_basis(data_snaps.T, config.r_d)
         self.u = u
-        self.initial_basis = u
         if self.time_dependent:
             self.reduced = None
         else:
@@ -219,13 +261,25 @@ class ReductionDriver:
             u, _ = aus_step(self.model, anchor, u, eps=self.config.aus_eps)
         return u
 
-    def advance(self, ensemble):
+    def _anchor(self, ensemble) -> np.ndarray:
+        return self.u.reconstruct(ensemble.mean())
+
+    def tangent_block(self, ensemble):
+        """The states advance maps for the upcoming cycle: the tangent block
+        at the ensemble's mean, None for a fixed basis."""
+        if not self.time_dependent:
+            return None
+        return tangent_block(self._anchor(ensemble), self.u.columns, self.config.aus_eps)
+
+    def advance(self, ensemble, mapped=None):
         """Prepare the reduced model of the upcoming cycle: a time-dependent
-        basis steps from the current u to the next, which becomes u."""
+        basis steps from the current u to the next, which becomes u. mapped,
+        when given, is model.cycle_map of tangent_block(ensemble), already
+        taken."""
         if not self.time_dependent:
             return self.reduced
-        anchor = self.u.reconstruct(ensemble.mean())
-        u_next, _ = aus_step(self.model, anchor, self.u, eps=self.config.aus_eps)
+        u_next, _ = aus_step(self.model, self._anchor(ensemble), self.u,
+                             eps=self.config.aus_eps, mapped=mapped)
         self.reduced = build_reduced_model(
             self.model, self.h, self.q, self.r,
             u=self.u, u_out=u_next, v=u_next.leading(self.config.r_d),
@@ -235,65 +289,195 @@ class ReductionDriver:
         return self.reduced
 
 
+class _Trial:
+    """One trial advanced a cycle at a time: begin_cycle gives the states the
+    cycle maps, finish_cycle takes them mapped and does the rest. Any
+    Exception it raises fails this trial alone (see guard)."""
+
+    def __init__(self, config: ExperimentConfig, trial_index: int, memo: TrialMemo):
+        self.config = config
+        self.trial_index = trial_index
+        self.t = 0  # the observation index of the current cycle
+        self.record = MetricsRecord(trial=trial_index)
+        self.rmses, self.projs, self.esses, self.flags = [], [], [], []
+        self.guard(self._set_up, memo)
+
+    def _set_up(self, memo: TrialMemo):
+        config = self.config
+        self.model = model = config.build_model()
+        self.rng = rng = RngStream(config.base_seed).child(self.trial_index)
+        self.h = h = config.build_observation(model)
+        self.q = q = NoiseSpec.scaled_identity(model.dimension, config.q_scale)
+        self.r = r = NoiseSpec.scaled_identity(h.data_dim, config.r_scale)
+        self.fcfg = config.filter_config()
+
+        x_init = _initial_state(config, model, rng)
+        self.x_truth, snapshots, anchors = _shared_spin_up(config, model, x_init,
+                                                           memo.spin_ups)
+        self.driver = driver = ReductionDriver(config, model, h, q, r, snapshots,
+                                               anchors, rng, memo.files)
+        z0 = driver.u.reduce(self.x_truth)
+        q0 = conjugate_noise(q, driver.u)
+        self.ensemble = initialize_ensemble(z0, q0, config.n_particles,
+                                            rng.child(FILTER_INIT))
+
+    @property
+    def live(self) -> bool:
+        return not self.record.failed and self.t < self.config.n_observations
+
+    def guard(self, fn, *args):
+        """fn(*args); None after failing this trial if it raises an Exception.
+
+        The failure reads "Type: message"; for an exception that is not a
+        ProjdaError, a bug rather than a diverged filter, it also names the
+        observation index (or the set-up) and the traceback is logged."""
+        try:
+            return fn(*args)
+        except Exception as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+            bug = not isinstance(exc, ProjdaError)
+            if bug:
+                failure += f" (at observation {self.t})" if self.t else " (in set-up)"
+            self.record.failed = True
+            self.record.failure = failure
+            logger.warning("trial %d failed after %d observations: %s",
+                           self.trial_index, len(self.rmses), failure, exc_info=bug)
+            return None
+
+    def begin_cycle(self) -> list:
+        """The states the next cycle maps through model.cycle_map, in the
+        order a trial uses them: the truth, the tangent block of a
+        time-dependent basis, the particles as columns."""
+        self.t += 1
+        tangent = self.driver.tangent_block(self.ensemble)
+        particles = forecast_columns(self.driver.u, self.ensemble.particles)
+        return [self.x_truth] + ([] if tangent is None else [tangent]) + [particles]
+
+    def finish_cycle(self, mapped: list | None = None):
+        """The rest of the cycle from the states of begin_cycle mapped, in the
+        same order: truth noise, observation, basis advance, filter update,
+        metrics. Without them each map runs here, at the point of use."""
+        config, t, rng = self.config, self.t, self.rng
+        if mapped is None:
+            x_truth = self.model.cycle_map(self.x_truth)
+            tangent = particles = None
+        else:
+            x_truth, particles = mapped[0], mapped[-1]
+            tangent = mapped[1] if len(mapped) == 3 else None
+        if config.truth_noise:
+            x_truth = x_truth + self.q.sample(rng.child(TRUTH_NOISE, t))
+        self.x_truth = x_truth
+        y = observe(x_truth, self.h, self.r, rng.child(OBS_NOISE, t))
+
+        reduced = self.driver.advance(self.ensemble, tangent)
+        y_hat = reduced.reduce_data(y)
+        step_rng = rng.child(FILTER_STEP, t)
+        fz = None if particles is None else reduced.forecast_rows(particles)
+        if config.uses_optimal_proposal:
+            self.ensemble = proj_oppf_step(self.ensemble, reduced, y, y_hat,
+                                           step_rng, self.fcfg, fz)
+        else:
+            self.ensemble = proj_pf_step(self.ensemble, reduced, y_hat, step_rng,
+                                         self.fcfg, fz)
+
+        z_mean = self.ensemble.mean()
+        x_est = reduced.basis_out.reconstruct(z_mean)
+        self.rmses.append(rmse(x_est, x_truth))
+        self.projs.append(rmse_projected(z_mean, reduced.basis_out, x_truth))
+        self.esses.append(self.ensemble.last_ess)
+        self.flags.append(self.ensemble.last_resampled)
+
+    def result(self) -> MetricsRecord:
+        record = self.record
+        record.rmse = np.asarray(self.rmses, dtype=float)
+        record.rmse_proj = np.asarray(self.projs, dtype=float)
+        record.ess = np.asarray(self.esses, dtype=float)
+        record.resampled = np.asarray(self.flags, dtype=bool)
+        if not record.failed:
+            logger.info("trial %d: mean rmse %.4g, resampled %.1f%%",
+                        self.trial_index, record.mean_rmse,
+                        100 * record.resample_fraction)
+        return record
+
+
+def _map_together(model, blocks: list) -> list:
+    """model.cycle_map of each block (states as columns, or one state), from
+    one call on all their columns.
+
+    Each mapped block comes back in the memory order its own call returns,
+    because later matrix products round differently on another layout: the
+    block's own order for a model that keeps its input's order, C order
+    otherwise."""
+    columns = [block.reshape(block.shape[0], -1) for block in blocks]
+    out = model.cycle_map(np.concatenate(columns, axis=1))
+    mapped, start = [], 0
+    for block, cols in zip(blocks, columns):
+        piece = out[:, start:start + cols.shape[1]]
+        start += cols.shape[1]
+        if block.ndim == 1:
+            mapped.append(piece[:, 0].copy())
+        else:
+            keep_f = model.keeps_order and block.flags.f_contiguous
+            mapped.append(np.array(piece, order="F" if keep_f else "C"))
+    return mapped
+
+
+def _cycle(model, trials: list):
+    """One cycle of the live trials on one model, their states mapped by one
+    call."""
+    begun = [(trial, trial.guard(trial.begin_cycle)) for trial in trials]
+    begun = [(trial, blocks) for trial, blocks in begun if blocks is not None]
+    if not begun:
+        return
+    try:
+        mapped = _map_together(model, [b for _, blocks in begun for b in blocks])
+    except Exception:
+        # some state could not be mapped: each trial maps its own where it
+        # uses them, so a failure and its message are the failing trial's own
+        for trial, _ in begun:
+            trial.guard(trial.finish_cycle)
+        return
+    start = 0
+    for trial, blocks in begun:
+        trial.guard(trial.finish_cycle, mapped[start:start + len(blocks)])
+        start += len(blocks)
+
+
+def _run_lockstep(keys: list, memo: TrialMemo) -> list[MetricsRecord]:
+    """The records of the trials (config, trial_index) in keys, run together
+    cycle by cycle, one model.cycle_map per model and cycle."""
+    trials = [_Trial(config, t, memo) for config, t in keys]
+    live = [trial for trial in trials if trial.live]
+    while live:
+        by_model: dict = {}
+        for trial in live:
+            by_model.setdefault(trial.model, []).append(trial)
+        for model, group in by_model.items():
+            _cycle(model, group)
+        live = [trial for trial in live if trial.live]
+    return [trial.result() for trial in trials]
+
+
 def run_trial(config: ExperimentConfig, trial_index: int,
-              spin_ups: dict | None = None) -> MetricsRecord:
+              memo: TrialMemo | None = None) -> MetricsRecord:
     """Run one assimilation trial and collect per-observation metrics.
 
-    spin_ups, when given, is a memo of deterministic walks shared by the
-    trials that receive it: a trial whose walk is in it skips its spin-up.
-    Sweeps pass one per process; the outputs do not depend on it."""
-    rng = RngStream(config.base_seed).child(trial_index)
-    model = config.build_model()
-    h = config.build_observation(model)
-    q = NoiseSpec.scaled_identity(model.dimension, config.q_scale)
-    r = NoiseSpec.scaled_identity(h.data_dim, config.r_scale)
-    fcfg = config.filter_config()
-
-    record = MetricsRecord(trial=trial_index)
-    rmses, projs, esses, flags = [], [], [], []
-    try:
-        x_init = _initial_state(config, model, rng)
-        x_start, snapshots, anchors = _shared_spin_up(config, model, x_init, spin_ups)
-        driver = ReductionDriver(config, model, h, q, r, snapshots, anchors, rng)
-
-        z0 = driver.initial_basis.reduce(x_start)
-        q0 = conjugate_noise(q, driver.initial_basis)
-        ensemble = initialize_ensemble(z0, q0, config.n_particles,
-                                       rng.child(FILTER_INIT))
-
-        optimal = config.uses_optimal_proposal
-        x_truth = x_start
-        for t in range(1, config.n_observations + 1):
-            x_truth = model.cycle_map(x_truth)
-            if config.truth_noise:
-                x_truth = x_truth + q.sample(rng.child(TRUTH_NOISE, t))
-            y = observe(x_truth, h, r, rng.child(OBS_NOISE, t))
-
-            reduced = driver.advance(ensemble)
-            y_hat = reduced.reduce_data(y)
-            step_rng = rng.child(FILTER_STEP, t)
-            if optimal:
-                ensemble = proj_oppf_step(ensemble, reduced, y, y_hat, step_rng, fcfg)
-            else:
-                ensemble = proj_pf_step(ensemble, reduced, y_hat, step_rng, fcfg)
-
-            z_mean = ensemble.mean()
-            x_est = reduced.basis_out.reconstruct(z_mean)
-            rmses.append(rmse(x_est, x_truth))
-            projs.append(rmse_projected(z_mean, reduced.basis_out, x_truth))
-            esses.append(ensemble.last_ess)
-            flags.append(ensemble.last_resampled)
-    except ProjdaError as exc:
-        record.failed = True
-        record.failure = f"{type(exc).__name__}: {exc}"
-        logger.warning("trial %d failed after %d observations: %s",
-                       trial_index, len(rmses), record.failure)
-
-    record.rmse = np.asarray(rmses, dtype=float)
-    record.rmse_proj = np.asarray(projs, dtype=float)
-    record.ess = np.asarray(esses, dtype=float)
-    record.resampled = np.asarray(flags, dtype=bool)
-    if not record.failed:
-        logger.info("trial %d: mean rmse %.4g, resampled %.1f%%",
-                    trial_index, record.mean_rmse, 100 * record.resample_fraction)
+    memo, when given, is shared by the trials that receive it; sweeps pass
+    one per process, and the outputs do not depend on it. A trial whose walk
+    or input files are in it skips reading them again. A trial registered in
+    memo.group runs in lockstep with the whole group: the first run_trial
+    call of the group runs every trial in it and keeps the others' records
+    for their own calls. Any other trial runs as a group of one."""
+    memo = TrialMemo() if memo is None else memo
+    key = (config, trial_index)
+    if key not in memo.records:
+        group = memo.group if key in memo.group else [key]
+        if group is memo.group:
+            memo.group = []
+        for done, record in zip(group, _run_lockstep(group, memo)):
+            memo.records.setdefault(done, []).append(record)
+    records = memo.records[key]
+    record = records.pop(0)
+    if not records:
+        del memo.records[key]
     return record

@@ -193,12 +193,18 @@ def _proposal_draws(lane: Callable[[int], np.random.Generator], n: int,
 
 def proj_pf_step(ensemble: ParticleEnsemble, reduced: ReducedModel,
                  y_hat: np.ndarray, rng: RngStream,
-                 config: FilterConfig | None = None) -> ParticleEnsemble:
+                 config: FilterConfig | None = None,
+                 fz: np.ndarray | None = None) -> ParticleEnsemble:
     """Bootstrap update: propose from the reduced model, weight by the reduced
-    data likelihood evaluated at the proposed particle."""
+    data likelihood evaluated at the proposed particle.
+
+    fz, when given, is the forecast reduced.forecast(ensemble.particles)
+    already taken, as rows; a lockstep trial maps its particles together with
+    its other states and passes reduced.forecast_rows of them here."""
     config = config or FilterConfig()
     y_hat = np.asarray(y_hat, dtype=float)
-    fz = reduced.forecast(ensemble.particles)
+    if fz is None:
+        fz = reduced.forecast(ensemble.particles)
     lane = _lanes(rng)
     xi = _proposal_draws(lane, ensemble.n_particles, reduced.reduced_dim)
     z_new = fz + reduced.q_q.color(xi)
@@ -210,14 +216,17 @@ def proj_pf_step(ensemble: ParticleEnsemble, reduced: ReducedModel,
 
 def proj_oppf_step(ensemble: ParticleEnsemble, reduced: ReducedModel,
                    y: np.ndarray, y_hat: np.ndarray, rng: RngStream,
-                   config: FilterConfig | None = None) -> ParticleEnsemble:
+                   config: FilterConfig | None = None,
+                   fz: np.ndarray | None = None) -> ParticleEnsemble:
     """Optimal-proposal update: condition the proposal on the new observation,
-    weight by the innovation of the deterministic forecast."""
+    weight by the innovation of the deterministic forecast. fz is as in
+    proj_pf_step."""
     config = config or FilterConfig()
     y = np.asarray(y, dtype=float)
     y_hat = np.asarray(y_hat, dtype=float)
     proposal = reduced.optimal_proposal()
-    fz = reduced.forecast(ensemble.particles)
+    if fz is None:
+        fz = reduced.forecast(ensemble.particles)
     resid = y[None, :] - fz @ reduced.hu.T
     lane = _lanes(rng)
     xi = _proposal_draws(lane, ensemble.n_particles, reduced.reduced_dim)

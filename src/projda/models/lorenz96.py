@@ -63,6 +63,9 @@ class L96Spec:
     dt: float = 0.01
     steps_per_observation: int = 5
 
+    # step and cycle_map return their input's memory order (see l96_rhs)
+    keeps_order = True
+
     def __post_init__(self):
         if self.dimension < 4:
             raise ValueError("dimension must be >= 4")

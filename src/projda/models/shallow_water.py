@@ -44,6 +44,9 @@ class SWESpec:
     dt: float = 60.0
     steps_per_observation: int = 60
 
+    # step and cycle_map return C order whatever the input's
+    keeps_order = False
+
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError("grid must be at least 4x4")

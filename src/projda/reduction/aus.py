@@ -7,7 +7,8 @@ is carried through a map by finite differences about a base point and
 re-orthonormalized by positive-diagonal QR. aus_step takes one such step
 through a model's cycle_map (one observation cycle); lyapunov_spectrum folds
 the same step over maps of qr_interval calls to the model's step and sums the
-log diagonal of T.
+log diagonal of T. tangent_block gives the block a step maps, so that a caller
+can map it together with other states and hand aus_step the result.
 """
 
 from __future__ import annotations
@@ -19,41 +20,45 @@ from ..numerics import qr_positive
 from .basis import ReductionBasis
 
 
-def _tangent_qr(fmap, x, columns, eps: float):
-    """One step of the tangent recursion at the point x through fmap.
-
-    The Jacobian action on the columns U is approximated by finite
-    differences, Z = [f(x + e U) - f(x)] / e column-wise with
-    e = eps * max(||x||, 1), and (Q, T) = qr_positive(Z). Returns
-    (f(x), (Q, T)); a rank-deficient Z raises ReductionError.
-    """
+def _offset(x, eps: float) -> float:
+    """e = eps * max(||x||, 1), the finite-difference offset at the point x."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    e = eps * max(np.linalg.norm(x), 1.0)
-    fblock = fmap(np.concatenate([x[:, None], x[:, None] + e * columns], axis=1))
-    z = (fblock[:, 1:] - fblock[:, :1]) / e
+    return eps * max(np.linalg.norm(x), 1.0)
+
+
+def tangent_block(x, columns, eps: float) -> np.ndarray:
+    """The block [x, x + e U] the tangent recursion maps at the point x, for
+    the columns U and the offset e of eps at x."""
+    return np.concatenate([x[:, None], x[:, None] + _offset(x, eps) * columns], axis=1)
+
+
+def _tangent_qr(fblock, x, eps: float):
+    """The tangent step from the mapped block f([x, x + e U]).
+
+    The Jacobian action on the columns U is approximated by finite
+    differences, Z = [f(x + e U) - f(x)] / e column-wise, and
+    (Q, T) = qr_positive(Z). Returns (f(x), (Q, T)); a rank-deficient Z
+    raises ReductionError.
+    """
+    z = (fblock[:, 1:] - fblock[:, :1]) / _offset(x, eps)
     try:
         return fblock[:, 0], qr_positive(z)
     except RankDeficiencyError as exc:
         raise ReductionError(f"tangent basis collapsed: {exc}") from exc
 
 
-def aus_step(model, x, basis: ReductionBasis, eps: float = 1e-6):
+def aus_step(model, x, basis: ReductionBasis, eps: float = 1e-6, mapped=None):
     """One step of the tangent recursion through model.cycle_map at the
     trajectory point x: returns the next basis Q and the triangular factor T.
+    mapped, when given, is model.cycle_map of tangent_block(x, basis.columns,
+    eps), already taken (a lockstep trial maps it with its other states).
     Raises ReductionError on basis collapse (rank-deficient Z)."""
-    _, (q, t) = _tangent_qr(model.cycle_map, np.asarray(x, dtype=float),
-                            basis.columns, eps)
+    x = np.asarray(x, dtype=float)
+    if mapped is None:
+        mapped = model.cycle_map(tangent_block(x, basis.columns, eps))
+    _, (q, t) = _tangent_qr(mapped, x, eps)
     return ReductionBasis(q, kind="aus", validate=False), t
-
-
-def _steps(model, k: int):
-    """The map of k calls to model.step."""
-    def fmap(block):
-        for _ in range(k):
-            block = model.step(block)
-        return block
-    return fmap
 
 
 def lyapunov_spectrum(model, x0, n_steps: int, p: int, eps: float = 1e-6,
@@ -77,8 +82,11 @@ def lyapunov_spectrum(model, x0, n_steps: int, p: int, eps: float = 1e-6,
     log_sums = np.zeros(p)
     for start in range(0, n_steps, qr_interval):
         stop = min(start + qr_interval, n_steps)
+        block = tangent_block(x, q, eps)
+        for _ in range(stop - start):
+            block = model.step(block)
         try:
-            x, (q, t) = _tangent_qr(_steps(model, stop - start), x, q, eps)
+            x, (q, t) = _tangent_qr(block, x, eps)
         except ReductionError as exc:
             raise ReductionError(f"at step {stop - 1}, {exc}") from exc
         log_sums += np.log(np.diag(t))

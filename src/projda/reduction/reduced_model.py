@@ -36,6 +36,12 @@ def conjugate_noise(noise: NoiseSpec, basis: ReductionBasis) -> NoiseSpec:
     return NoiseSpec.dense(basis.columns.T @ noise.matrix @ basis.columns)
 
 
+def forecast_columns(basis_in: ReductionBasis, z_rows: np.ndarray) -> np.ndarray:
+    """The states U_in z of row-stacked reduced states as columns: the block
+    the forecast f^q maps."""
+    return basis_in.reconstruct(z_rows).T
+
+
 def _observed_rows(basis: ReductionBasis, h: ObservationOperator) -> np.ndarray:
     """H B, the observed rows of a basis; for the identity, the selection H."""
     if not basis.is_identity:
@@ -129,9 +135,13 @@ class ReducedModel:
 
     def forecast(self, z_rows: np.ndarray) -> np.ndarray:
         """f^q on row-stacked reduced states: U_out^T f(U_in z)."""
-        x = self.basis_in.reconstruct(z_rows)
-        fx = self.model.cycle_map(x.T).T
-        return self.basis_out.reduce(fx)
+        mapped = self.model.cycle_map(forecast_columns(self.basis_in, z_rows))
+        return self.forecast_rows(mapped)
+
+    def forecast_rows(self, mapped: np.ndarray) -> np.ndarray:
+        """U_out^T of the mapped forecast columns f(U_in z), as rows: the end
+        of forecast, for columns mapped elsewhere."""
+        return self.basis_out.reduce(mapped.T)
 
     def reduce_data(self, y: np.ndarray) -> np.ndarray:
         """y_hat = V^T H^+ y (model-based) or V^T y (data-based)."""

@@ -407,6 +407,18 @@ class TestCliErrors:
         assert len(lines) == 1 and lines[0].startswith("error: snapshot"), lines
         assert "run%1.bin" in lines[0]
 
+    @pytest.mark.parametrize("command", ["assimilate", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                  command, jobs):
+        # these used to run serially and exit 0
+        ini = _write_ini(tmp_path, experiment_extra="sweep_r_p = 2, 4\n")
+        monkeypatch.setattr(sweep, "_execute", _no_trials)
+        assert dispatch([command, "--config", ini, "--jobs", jobs,
+                         "--out", str(tmp_path / "out.csv")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: jobs (worker processes) must be >= 1, got {jobs}"]
+
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         ini = _write_ini(tmp_path)
         assert dispatch(["assimilate", "--config", ini, "--bogus"]) == 2

@@ -1,0 +1,333 @@
+"""Lockstep trials: the (point, trial) tasks of a chunk advance together, one
+model.cycle_map per model and cycle.
+
+The reference is the per-trial loop run_trial ran before lockstep, kept
+below; every record of a lockstep group must equal it bit for bit. A failure
+in one trial of a group must leave its siblings as they are when run alone.
+"""
+
+import functools
+import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+import pytest
+
+import projda.experiments.trial as trial_module
+from projda.errors import ProjdaError
+from projda.experiments import (
+    MetricsRecord,
+    ReductionDriver,
+    default_config,
+    replace,
+    rmse,
+    rmse_projected,
+    run_sweep,
+    run_trial,
+    sweep,
+    training_trajectory,
+)
+from projda.experiments.trial import _initial_state, _map_together, _shared_spin_up
+from projda.filters import initialize_ensemble, proj_oppf_step, proj_pf_step
+from projda.models import L96Spec, SWESpec, observe, save_snapshots
+from projda.numerics import (
+    FILTER_INIT,
+    FILTER_STEP,
+    OBS_NOISE,
+    TRUTH_NOISE,
+    NoiseSpec,
+    RngStream,
+)
+from projda.reduction import pod_basis, save_basis
+from projda.reduction.reduced_model import conjugate_noise
+
+logger = logging.getLogger("projda.experiments")
+
+
+def _reference_trial(config, trial_index: int) -> MetricsRecord:
+    """The body of run_trial before lockstep, verbatim but for two marked
+    lines: the spin-up memo is a fresh dict (the parent accepted None), and
+    the driver's incoming basis is named u (the parent's initial_basis).
+    ReductionDriver.advance(ensemble) without a mapped block and the filter
+    steps without fz map their states themselves, as the parent's did."""
+    rng = RngStream(config.base_seed).child(trial_index)
+    model = config.build_model()
+    h = config.build_observation(model)
+    q = NoiseSpec.scaled_identity(model.dimension, config.q_scale)
+    r = NoiseSpec.scaled_identity(h.data_dim, config.r_scale)
+    fcfg = config.filter_config()
+
+    record = MetricsRecord(trial=trial_index)
+    rmses, projs, esses, flags = [], [], [], []
+    try:
+        x_init = _initial_state(config, model, rng)
+        x_start, snapshots, anchors = _shared_spin_up(config, model, x_init, {})  # adapted
+        driver = ReductionDriver(config, model, h, q, r, snapshots, anchors, rng)
+
+        z0 = driver.u.reduce(x_start)  # adapted
+        q0 = conjugate_noise(q, driver.u)  # adapted
+        ensemble = initialize_ensemble(z0, q0, config.n_particles,
+                                       rng.child(FILTER_INIT))
+
+        optimal = config.uses_optimal_proposal
+        x_truth = x_start
+        for t in range(1, config.n_observations + 1):
+            x_truth = model.cycle_map(x_truth)
+            if config.truth_noise:
+                x_truth = x_truth + q.sample(rng.child(TRUTH_NOISE, t))
+            y = observe(x_truth, h, r, rng.child(OBS_NOISE, t))
+
+            reduced = driver.advance(ensemble)
+            y_hat = reduced.reduce_data(y)
+            step_rng = rng.child(FILTER_STEP, t)
+            if optimal:
+                ensemble = proj_oppf_step(ensemble, reduced, y, y_hat, step_rng, fcfg)
+            else:
+                ensemble = proj_pf_step(ensemble, reduced, y_hat, step_rng, fcfg)
+
+            z_mean = ensemble.mean()
+            x_est = reduced.basis_out.reconstruct(z_mean)
+            rmses.append(rmse(x_est, x_truth))
+            projs.append(rmse_projected(z_mean, reduced.basis_out, x_truth))
+            esses.append(ensemble.last_ess)
+            flags.append(ensemble.last_resampled)
+    except ProjdaError as exc:
+        record.failed = True
+        record.failure = f"{type(exc).__name__}: {exc}"
+        logger.warning("trial %d failed after %d observations: %s",
+                       trial_index, len(rmses), record.failure)
+
+    record.rmse = np.asarray(rmses, dtype=float)
+    record.rmse_proj = np.asarray(projs, dtype=float)
+    record.ess = np.asarray(esses, dtype=float)
+    record.resampled = np.asarray(flags, dtype=bool)
+    if not record.failed:
+        logger.info("trial %d: mean rmse %.4g, resampled %.1f%%",
+                    trial_index, record.mean_rmse, 100 * record.resample_fraction)
+    return record
+
+
+def assert_same_record(a: MetricsRecord, b: MetricsRecord):
+    assert (a.trial, a.failed, a.failure) == (b.trial, b.failed, b.failure)
+    for name in ("rmse", "rmse_proj", "ess", "resampled"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def _config(model: str, reduction: str, proposal: str, **overrides):
+    """A small config of the model with the reduction and the proposal (pf or
+    oppf; projected unless the reduction is the identity)."""
+    kind = proposal if reduction == "identity" else "proj" + proposal
+    extra = dict(reduction_kind=reduction, filter_kind=kind, trials=2, base_seed=31)
+    if model == "l96":
+        # at this size the filter's products round differently when a mapped
+        # block comes back in another memory order
+        base = dict(dimension=40, forcing=8.0, n_particles=10, n_observations=5,
+                    burn_in=100, training_steps=200, training_stride=5, r_p=10, r_d=2)
+    else:
+        base = dict(nx=8, ny=4, n_particles=3, n_observations=3, burn_in=60,
+                    training_steps=120, training_stride=10, r_p=4, r_d=2)
+    if reduction == "aus":
+        extra.update(data_reduction="model", aus_spinup=2)
+        if model == "swe":
+            # a layer's mean depth lies in no few tracked directions, so a
+            # lower rank empties it at the first cycle
+            extra.update(r_p=96)
+    return default_config(model, **{**base, **extra, **overrides})
+
+
+def _lockstep_records(config, jobs: int = 1) -> dict:
+    """(point, trial) -> record of the config's sweep, each trial's points in
+    one chunk, as run_sweep hands them out."""
+    points = sweep.sweep_points(config)
+    workers, blas_threads = sweep._pool_shape(jobs, len(points) * config.trials)
+    chunks = [[(p, t, points[p]) for p in range(len(points))]
+              for t in range(config.trials)]
+    return sweep._execute(chunks, workers, blas_threads)
+
+
+def _forked_pool(monkeypatch):
+    """Pool workers forked from this process, so that they see its patches."""
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
+@pytest.mark.parametrize("truth_noise", [True, False], ids=["noise", "no-noise"])
+@pytest.mark.parametrize("proposal", ["pf", "oppf"])
+@pytest.mark.parametrize("reduction", ["identity", "pod", "dmd", "aus"])
+@pytest.mark.parametrize("model", ["l96", "swe"])
+def test_records_equal_the_per_trial_loop(model, reduction, proposal, truth_noise):
+    config = _config(model, reduction, proposal, truth_noise=truth_noise,
+                     sweep_q_scale=(0.1, 0.2))
+    points = sweep.sweep_points(config)
+    grouped = _lockstep_records(config)
+    for (p, t), record in grouped.items():
+        reference = _reference_trial(points[p], t)
+        assert_same_record(record, reference)
+        assert_same_record(run_trial(points[p], t), reference)  # a group of one
+    assert len(grouped) == 2 * config.trials
+
+
+def test_points_on_different_models_share_a_chunk():
+    config = _config("l96", "pod", "oppf", sweep_forcing=(3.0, 8.0), sweep_r_p=(3, 4))
+    points = sweep.sweep_points(config)
+    assert len({cfg.build_model() for cfg in points}) == 2
+    for (p, t), record in _lockstep_records(config).items():
+        assert_same_record(record, _reference_trial(points[p], t))
+
+
+@pytest.mark.parametrize("model, x", [
+    (L96Spec(dimension=40), L96Spec(dimension=40).default_state()),
+    (SWESpec(nx=8, ny=4), SWESpec(nx=8, ny=4).default_jet_state()),
+], ids=["l96", "swe"])
+def test_mapped_blocks_come_back_in_their_own_calls_order(model, x):
+    gen = np.random.default_rng(0)
+    truth = x + 0.01 * gen.standard_normal(x.size)
+    tangent = np.ascontiguousarray(x[:, None] + 0.01 * gen.standard_normal((x.size, 3)))
+    particles = (x[None, :] + 0.01 * gen.standard_normal((4, x.size))).T  # F order
+    blocks = [truth, tangent, particles]
+    for own, mapped in zip(map(model.cycle_map, blocks), _map_together(model, blocks)):
+        assert mapped.shape == own.shape and np.array_equal(mapped, own)
+        assert mapped.flags.c_contiguous == own.flags.c_contiguous
+        assert mapped.flags.f_contiguous == own.flags.f_contiguous
+
+
+# ---------------------------------------------------------------------------
+# Failure boundary
+# ---------------------------------------------------------------------------
+
+_FAILING_RANK = 3
+_FAILING_CYCLE = 2
+
+
+def _blow_up_particle(monkeypatch):
+    """Trials at r_p = 3 put a non-finite state into their first particle
+    before cycle 2, so that its column cannot be mapped."""
+    begin = trial_module._Trial.begin_cycle
+
+    def begin_cycle(self):
+        if self.config.r_p == _FAILING_RANK and self.t + 1 == _FAILING_CYCLE:
+            self.ensemble.particles[0] = np.nan
+        return begin(self)
+
+    monkeypatch.setattr(trial_module._Trial, "begin_cycle", begin_cycle)
+
+
+def _raise_in_cycle(monkeypatch):
+    """Trials at r_p = 3 raise a RuntimeError, a plain bug, in cycle 2."""
+    finish = trial_module._Trial.finish_cycle
+
+    def finish_cycle(self, mapped=None):
+        if self.config.r_p == _FAILING_RANK and self.t == _FAILING_CYCLE:
+            raise RuntimeError("injected")
+        return finish(self, mapped)
+
+    monkeypatch.setattr(trial_module._Trial, "finish_cycle", finish_cycle)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("model", ["l96", "swe"])
+@pytest.mark.parametrize("inject, failure", [
+    (_blow_up_particle, "BlowupError: "),
+    (_raise_in_cycle, f"RuntimeError: injected (at observation {_FAILING_CYCLE})"),
+], ids=["non-finite-column", "runtime-error"])
+def test_a_failing_trial_leaves_its_siblings_as_they_run_alone(
+        monkeypatch, inject, failure, model, jobs):
+    inject(monkeypatch)
+    _forked_pool(monkeypatch)
+    config = _config(model, "pod", "oppf", sweep_r_p=(2, 3, 4))
+    points = sweep.sweep_points(config)
+    grouped = _lockstep_records(config, jobs)
+    for (p, t), record in grouped.items():
+        assert_same_record(record, run_trial(points[p], t))
+        if points[p].r_p == _FAILING_RANK:
+            assert record.failed and record.failure.startswith(failure)
+            assert record.n_observations == _FAILING_CYCLE - 1
+        else:
+            assert not record.failed, record.failure
+            assert_same_record(record, _reference_trial(points[p], t))
+    if inject is _blow_up_particle and model == "swe":
+        # the column is the particle's own, not its place in the group's call
+        assert grouped[(1, 0)].failure.endswith("(column 0)")
+
+
+def test_a_failed_set_up_names_it(monkeypatch):
+    monkeypatch.setattr(trial_module, "_initial_state", _raise_runtime_error)
+    record = run_trial(_config("l96", "pod", "oppf"), 0)
+    assert record.failure == "RuntimeError: injected (in set-up)"
+    assert record.n_observations == 0
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("injected")
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_interrupts_pass_through(monkeypatch, interrupt):
+    def finish_cycle(self, mapped=None):
+        raise interrupt()
+
+    monkeypatch.setattr(trial_module._Trial, "finish_cycle", finish_cycle)
+    with pytest.raises(interrupt):
+        run_sweep(_config("l96", "pod", "oppf", sweep_r_p=(3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# What the benchmark's tracer counts, and what a process reads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("proposal", ["pf", "oppf"])
+def test_one_run_trial_per_task_and_one_filter_step_per_cycle(monkeypatch, proposal):
+    """perfbench's tracer counts trials as calls of sweep.run_trial and cycles
+    as calls of the filter steps looked up in trial.py."""
+    calls = {"trial": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sweep, "run_trial", counted("trial", sweep.run_trial))
+    for step in ("proj_pf_step", "proj_oppf_step"):
+        monkeypatch.setattr(trial_module, step,
+                            counted("step", getattr(trial_module, step)))
+    config = _config("l96", "pod", proposal, sweep_r_p=(2, 3, 4))
+    rows = run_sweep(config, jobs=1)
+    assert [row.failed_trials for row in rows] == [0, 0, 0]
+    assert calls == {"trial": 3 * config.trials,
+                     "step": 3 * config.trials * config.n_observations}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_process_reads_each_input_file_once(monkeypatch, tmp_path, jobs):
+    base = _config("l96", "pod", "oppf")
+    states, meta = training_trajectory(base)
+    snapshots, basis = str(tmp_path / "truth.bin"), str(tmp_path / "basis.bin")
+    save_snapshots(snapshots, states, meta)
+    save_basis(basis, pod_basis(states.T, 5))
+    # the data basis comes from the snapshots, the state basis from its file
+    config = replace(base, data_reduction="data", snapshot_file=snapshots,
+                     basis_file=basis, sweep_r_p=(2, 3, 4, 5))
+
+    log = tmp_path / "reads.txt"
+
+    def logged(load):
+        def wrapper(path):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {path}\n")
+            return load(path)
+        return wrapper
+
+    monkeypatch.setattr(trial_module, "load_snapshots", logged(trial_module.load_snapshots))
+    monkeypatch.setattr(trial_module, "load_basis", logged(trial_module.load_basis))
+    _forked_pool(monkeypatch)
+    rows = run_sweep(config, jobs=jobs)
+    assert [row.failed_trials for row in rows] == [0] * 4
+    reads = log.read_text().splitlines()
+    assert len(reads) == len(set(reads))  # no process read a file twice
+    assert {line.split()[1] for line in reads} == {snapshots, basis}
+    # the parent's check before any trial reads both
+    assert {f"{os.getpid()} {snapshots}", f"{os.getpid()} {basis}"} <= set(reads)
