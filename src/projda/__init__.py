@@ -29,7 +29,6 @@ from .models import (
     load_snapshots,
     observe,
     save_snapshots,
-    step_rk4,
 )
 from .numerics import NoiseSpec, RngStream
 from .reduction import (

@@ -46,6 +46,7 @@ from ..reduction import (
     pod_basis,
 )
 from ..reduction.aus import tangent_block
+from ..reduction.pod import pod_leading
 from ..reduction.reduced_model import conjugate_noise, forecast_columns
 from .config import ExperimentConfig
 from .metrics import MetricsRecord, rmse, rmse_projected
@@ -68,14 +69,12 @@ def _needs_snapshots(config: ExperimentConfig) -> bool:
     return from_training or config.data_reduction == "data"
 
 
-def _file_inputs(config: ExperimentConfig, dimension: int,
-                 files: dict | None = None) -> tuple:
+def _file_inputs(config: ExperimentConfig, dimension: int, files: dict) -> tuple:
     """The snapshots and the basis a trial of config reads from its
     snapshot_file and basis_file, each None where it reads no such file.
-    files, when given, keeps what each file held, so that a process reads
-    each file once. Raises ReductionError naming the file when it cannot be
-    read, holds states of another dimension, or has fewer than r_p basis
-    columns."""
+    files keeps what each file held, so that a process reads each file once.
+    Raises ReductionError naming the file when it cannot be read, holds
+    states of another dimension, or has fewer than r_p basis columns."""
     snapshots = basis = None
     if config.snapshot_file and _needs_snapshots(config):
         snapshots = _read(files, config.snapshot_file, _load_states)
@@ -107,10 +106,8 @@ def _load_states(path: str) -> np.ndarray:
     return states
 
 
-def _read(files: dict | None, path: str, load):
-    """load(path), kept in files (when given) under the loader and path."""
-    if files is None:
-        return load(path)
+def _read(files: dict, path: str, load):
+    """load(path), kept in files under the loader and path."""
     key = (load, path)
     if key not in files:
         files[key] = load(path)
@@ -191,15 +188,26 @@ def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
 @dataclass
 class TrialMemo:
     """What the trials of one process share: deterministic walks (spin_ups,
-    see _shared_spin_up), input files by path (files, see _file_inputs), and
-    a lockstep group, the (config, trial_index) pairs registered to run
+    see _shared_spin_up), input files by path (files, see _file_inputs), POD
+    modes by snapshot set while a group sets up (pods, see pod), and a
+    lockstep group, the (config, trial_index) pairs registered to run
     together (group) with the records it finished ahead of their run_trial
     calls (records)."""
 
     spin_ups: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)
+    pods: dict = field(default_factory=dict)
     group: list = field(default_factory=list)
     records: dict = field(default_factory=dict)
+
+    def pod(self, snapshots: np.ndarray, r: int, h=None) -> ReductionBasis:
+        """pod_basis of the snapshot rows (their observed parts, under h) to
+        rank r, one SVD per set; the memo keeps them, so their id names them."""
+        key = (id(snapshots), None if h is None else h.indices.tobytes())
+        if key not in self.pods:
+            x = snapshots if h is None else h.apply(snapshots)
+            self.pods[key] = (snapshots, pod_basis(x.T))
+        return pod_leading(self.pods[key][1], r)
 
 
 class ReductionDriver:
@@ -210,10 +218,11 @@ class ReductionDriver:
     mean, so advance() must run before each filter step. u is the incoming
     basis of the upcoming cycle. The config's snapshot_file and basis_file,
     where it uses them, take the place of the in-trial snapshots and of the
-    trained basis; files is as in _file_inputs."""
+    trained basis; memo, when given, is shared with other trials."""
 
     def __init__(self, config: ExperimentConfig, model, h, q, r,
-                 snapshots, anchors, rng: RngStream, files: dict | None = None):
+                 snapshots, anchors, rng: RngStream, memo: TrialMemo | None = None):
+        memo = TrialMemo() if memo is None else memo
         self.config = config
         self.model = model
         self.h, self.q, self.r = h, q, r
@@ -224,14 +233,14 @@ class ReductionDriver:
             self.u = self.reduced.basis_in
             return
 
-        file_snapshots, u_file = _file_inputs(config, model.dimension, files)
+        file_snapshots, u_file = _file_inputs(config, model.dimension, memo.files)
         if file_snapshots is not None:
             snapshots = file_snapshots
         kind = config.reduction_kind
         if u_file is not None:
             u = u_file.leading(config.r_p)
         elif kind == "pod":
-            u = pod_basis(snapshots.T, config.r_p)
+            u = memo.pod(snapshots, config.r_p)
         elif kind == "dmd":
             result = dmd(snapshots.T, rank=config.dmd_rank or None,
                          dt=model.dt * config.training_stride)
@@ -243,8 +252,7 @@ class ReductionDriver:
         if config.data_reduction == "model":
             v = u.leading(config.r_d)
         else:
-            data_snaps = h.apply(snapshots)
-            v = pod_basis(data_snaps.T, config.r_d)
+            v = memo.pod(snapshots, config.r_d, h)
         self.u = u
         if self.time_dependent:
             self.reduced = None
@@ -315,7 +323,7 @@ class _Trial:
         self.x_truth, snapshots, anchors = _shared_spin_up(config, model, x_init,
                                                            memo.spin_ups)
         self.driver = driver = ReductionDriver(config, model, h, q, r, snapshots,
-                                               anchors, rng, memo.files)
+                                               anchors, rng, memo)
         z0 = driver.u.reduce(self.x_truth)
         q0 = conjugate_noise(q, driver.u)
         self.ensemble = initialize_ensemble(z0, q0, config.n_particles,
@@ -447,6 +455,7 @@ def _run_lockstep(keys: list, memo: TrialMemo) -> list[MetricsRecord]:
     """The records of the trials (config, trial_index) in keys, run together
     cycle by cycle, one model.cycle_map per model and cycle."""
     trials = [_Trial(config, t, memo) for config, t in keys]
+    memo.pods.clear()  # every point has its basis; the modes would only take memory
     live = [trial for trial in trials if trial.live]
     while live:
         by_model: dict = {}

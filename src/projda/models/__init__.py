@@ -1,5 +1,5 @@
 from ..numerics import NoiseSpec
-from .lorenz96 import L96Spec, l96_rhs, step_rk4
+from .lorenz96 import L96Spec, l96_rhs
 from .observation import ObservationOperator, observe
 from .shallow_water import SWESpec
 from .simulate import load_snapshots, save_snapshots
@@ -13,5 +13,4 @@ __all__ = [
     "load_snapshots",
     "observe",
     "save_snapshots",
-    "step_rk4",
 ]

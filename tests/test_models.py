@@ -5,6 +5,9 @@ Hand oracles:
   rule (u_{i+1} - u_{i-2}) u_{i-1} - u_i gives (2-3)*4-1, (3-4)*1-2,
   (4-1)*2-3, (1-2)*3-4.
 - One RK4 step of x' = -x equals 1 - h + h^2/2 - h^3/6 + h^4/24 exactly.
+- The Lorenz-96 step is checked bit for bit against `_reference_step_rk4` of
+  `_reference_l96_rhs`, the allocating RK4 step the step plan replaced, kept
+  here as it was.
 - The shallow-water step is checked bit for bit against `_reference_step`, a
   plain per-column implementation of the same scheme: one field at a time,
   each with its own ghost-padded copy, in the same float operation order.
@@ -23,10 +26,88 @@ from projda.models import (
     SWESpec,
     l96_rhs,
     observe,
-    step_rk4,
 )
+from projda.models import lorenz96
 from projda.experiments import default_config, training_trajectory
 from projda.numerics import TRUTH_IC, NoiseSpec, RngStream
+
+
+# -- Lorenz-96 reference: the allocating RK4 step --------------------------------
+
+_NEIGHBOURS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _neighbours(m: int):
+    """Cyclic indices (i+1, i-1, i-2) mod m, built once per dimension."""
+    idx = _NEIGHBOURS.get(m)
+    if idx is None:
+        i = np.arange(m)
+        idx = _NEIGHBOURS[m] = ((i + 1) % m, (i - 1) % m, (i - 2) % m)
+    return idx
+
+
+def _reference_l96_rhs(u: np.ndarray, forcing: float) -> np.ndarray:
+    """du_i/dt = (u_{i+1} - u_{i-2}) u_{i-1} - u_i + F with cyclic indices.
+
+    Accepts a single state of shape (M,) or a batch of column states (M, k).
+    The result keeps the memory order of u (a gather alone returns C order),
+    because later matrix products round differently on a different layout.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape[0] < 4:
+        raise ValueError("Lorenz-96 needs dimension >= 4")
+    ip1, im1, im2 = _neighbours(u.shape[0])
+    out = np.empty_like(u)
+    np.subtract(u.take(ip1, axis=0), u.take(im2, axis=0), out=out)
+    out *= u.take(im1, axis=0)
+    out -= u
+    out += forcing
+    return out
+
+
+def _reference_step_rk4(rhs, state: np.ndarray, dt: float) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of x' = rhs(x)."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(out).all():
+        raise BlowupError("RK4 step produced non-finite values")
+    return out
+
+
+def _reference_l96_step(spec: L96Spec, state: np.ndarray) -> np.ndarray:
+    return _reference_step_rk4(lambda u: _reference_l96_rhs(u, spec.forcing),
+                               np.asarray(state, dtype=float), spec.dt)
+
+
+# Every layout a step plan is keyed or laid out by: one state, C- and F-ordered
+# blocks, a single column (both orders at once), and views that are not
+# contiguous, whose result takes the order np.empty_like gives them.
+_L96_INPUTS = {
+    "single": lambda g: 3.0 * g.standard_normal(40) + 2.0,
+    "c_block": lambda g: g.standard_normal((40, 21)),
+    "f_block": lambda g: g.standard_normal((21, 40)).T,
+    "one_column": lambda g: g.standard_normal((40, 1)),
+    "column_view": lambda g: g.standard_normal((40, 30))[:, ::3],
+    "f_column_view": lambda g: g.standard_normal((30, 40)).T[:, ::3],
+    "row_view": lambda g: g.standard_normal((80, 6))[::2],
+}
+
+
+def _plan_buffers() -> list:
+    """Every array the Lorenz-96 step plans hold, alone or in a list."""
+    held = [a for plan in lorenz96._PLANS.values() for value in vars(plan).values()
+            for a in (value if isinstance(value, list) else [value])]
+    return [a for a in held if isinstance(a, np.ndarray)]
+
+
+def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.flags.c_contiguous, a.flags.f_contiguous) == (
+        b.flags.c_contiguous, b.flags.f_contiguous)
 
 
 # -- shallow-water reference: one column at a time -----------------------------
@@ -160,12 +241,72 @@ class TestLorenz96:
         assert got.flags.c_contiguous == u.flags.c_contiguous
         assert got.flags.f_contiguous == u.flags.f_contiguous
 
+    def test_rhs_matches_reference_bit_for_bit(self):
+        for name, make in _L96_INPUTS.items():
+            u = make(np.random.default_rng(5))
+            got, expect = l96_rhs(u, 8.0), _reference_l96_rhs(u, 8.0)
+            assert np.array_equal(got, expect) and _same_layout(got, expect), name
+
     def test_rk4_linear_decay_exact_polynomial(self):
         h = 0.01
-        got = step_rk4(lambda x: -x, np.array([1.0]), h)
+        got = _reference_step_rk4(lambda x: -x, np.array([1.0]), h)
         expect = 1.0 - h + h**2 / 2 - h**3 / 6 + h**4 / 24
         np.testing.assert_allclose(got, [expect], rtol=0, atol=0)
         np.testing.assert_allclose(got, [np.exp(-h)], atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(_L96_INPUTS))
+    def test_step_matches_reference_bit_for_bit(self, name):
+        spec = L96Spec(forcing=8.0)
+        x = _L96_INPUTS[name](np.random.default_rng(11))
+        got, expect = spec.step(x), _reference_l96_step(spec, x)
+        assert got.shape == expect.shape and _same_layout(got, expect)
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("name", ["single", "c_block", "f_block", "one_column",
+                                      "column_view"])
+    def test_walk_matches_reference_bit_for_bit(self, name):
+        spec = L96Spec(forcing=8.0)
+        x = expected = _L96_INPUTS[name](np.random.default_rng(13))
+        for _ in range(500):
+            x, expected = spec.step(x), _reference_l96_step(spec, expected)
+        assert _same_layout(x, expected) and np.array_equal(x, expected)
+
+    def test_interleaved_forcings_share_a_plan_exactly(self):
+        # the plan is keyed by shape, not by spec: forcing and dt come with
+        # each call, so two specs of one shape stepped in turn stay exact
+        specs = [L96Spec(forcing=8.0), L96Spec(forcing=3.0, dt=0.02)]
+        block = np.random.default_rng(17).standard_normal((40, 4))
+        xs = [block, block.copy()]
+        expected = [block, block.copy()]
+        for _ in range(200):
+            xs = [spec.step(x) for spec, x in zip(specs, xs)]
+            expected = [_reference_l96_step(spec, x) for spec, x in zip(specs, expected)]
+        for x, ref in zip(xs, expected):
+            assert np.array_equal(x, ref)
+        assert not np.array_equal(xs[0], xs[1])
+
+    def test_returned_states_are_fresh_arrays(self):
+        # _spin_up keeps its snapshots by reference, so no step may hand back
+        # a plan buffer or write into an array it returned earlier
+        spec = L96Spec()
+        for name, make in _L96_INPUTS.items():
+            x = make(np.random.default_rng(19))
+            kept = []
+            for _ in range(4):
+                x = spec.step(x)
+                kept.append((x, x.copy()))
+            buffers = _plan_buffers()
+            for i, (y, copy) in enumerate(kept):
+                assert np.array_equal(y, copy), name
+                assert not any(np.shares_memory(y, b) for b in buffers), name
+                assert not any(np.shares_memory(y, z) for z, _ in kept[i + 1:]), name
+
+    def test_step_raises_blowup_on_non_finite_result(self):
+        spec = L96Spec()
+        x = np.full((40, 3), 8.0)
+        x[5, 1] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError):
+            spec.step(x)
 
     def test_rk4_batched_columns_match(self):
         spec = L96Spec(dimension=6, forcing=8.0)

@@ -21,7 +21,7 @@ import pytest
 import projda
 from projda import filters, models, numerics, reduction
 from projda.filters import ParticleEnsemble
-from projda.models import ObservationOperator, simulate
+from projda.models import L96Spec, ObservationOperator, simulate
 from projda.reduction import ReducedModel, ReductionBasis, identity_basis, reduced_model
 
 REMOVED = [
@@ -29,13 +29,16 @@ REMOVED = [
     "matrix", "pinv_matrix", "project",
     "standard_pf_step", "oppf_step", "projected_resample_noise",
     "smoothed_noise_rows", "simulate_truth", "run_deterministic",
+    "step_rk4",
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
 OWNERS = [projda, models, simulate, numerics, filters, reduction, reduced_model,
           ObservationOperator, ReductionBasis, ReducedModel, ParticleEnsemble]
 # Names gone from one owner that keeps its other members: is_identity stays on
-# ReductionBasis, and time_dependent was an attribute of every built basis.
+# ReductionBasis, time_dependent was an attribute of every built basis, and
+# L96Spec.rhs served only step_rk4 (l96_rhs stays).
 REMOVED_MEMBERS = [
+    (L96Spec, "rhs"),
     (ObservationOperator, "every_kth"),
     (ObservationOperator, "identity"),
     (ObservationOperator, "is_identity"),
