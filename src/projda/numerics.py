@@ -126,11 +126,12 @@ def _inverse_cholesky(a: np.ndarray, failure: str) -> tuple[np.ndarray, np.ndarr
 
 
 def qr_positive(a):
-    """Reduced QR by modified Gram-Schmidt with a positive-diagonal convention.
+    """Reduced Householder QR (LAPACK, through np.linalg.qr) with a
+    positive-diagonal convention.
 
     Returns (Q, T) with Q column-orthonormal, T upper triangular, diag(T) > 0,
-    and Q @ T = A. Raises RankDeficiencyError when a pivot falls below
-    1e-12 * ||A||.
+    and Q @ T = A. Raises RankDeficiencyError naming the first column whose
+    |T_ii| is at most 1e-12 * ||A||.
     """
     a = _check_finite(a, "qr input")
     if a.ndim != 2:
@@ -138,25 +139,18 @@ def qr_positive(a):
     m, n = a.shape
     if n > m:
         raise RankDeficiencyError(f"qr_positive needs columns <= rows, got {m}x{n}")
-    scale = np.linalg.norm(a)
-    tol = 1e-12 * max(scale, 1e-300)
-    q = a.copy()
-    t = np.zeros((n, n))
-    for i in range(n):
-        norm = np.linalg.norm(q[:, i])
-        if norm <= tol:
-            raise RankDeficiencyError(
-                f"qr_positive: column {i} is numerically dependent "
-                f"(pivot {norm:.3e} <= {tol:.3e})"
-            )
-        t[i, i] = norm
-        q[:, i] /= norm
-        if i + 1 < n:
-            # project the new direction out of every remaining column at once
-            coeffs = q[:, i] @ q[:, i + 1:]
-            t[i, i + 1:] = coeffs
-            q[:, i + 1:] -= np.outer(q[:, i], coeffs)
-    return q, t
+    q, t = np.linalg.qr(a)
+    pivots = np.abs(np.diag(t))
+    tol = 1e-12 * max(np.linalg.norm(a), 1e-300)
+    dependent = np.flatnonzero(pivots <= tol)
+    if dependent.size:
+        i = dependent[0]
+        raise RankDeficiencyError(
+            f"qr_positive: column {i} is numerically dependent "
+            f"(pivot {pivots[i]:.3e} <= {tol:.3e})"
+        )
+    signs = np.sign(np.diag(t))
+    return q * signs, t * signs[:, None]
 
 
 # ---------------------------------------------------------------------------

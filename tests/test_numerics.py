@@ -69,6 +69,18 @@ class TestFactorizations:
         with pytest.raises(RankDeficiencyError):
             qr_positive(np.ones((2, 4)))
 
+    def test_qr_positive_names_the_dependent_column(self):
+        a = np.random.default_rng(4).standard_normal((8, 5))
+        a[:, 3] = a[:, 0] + a[:, 2]
+        with pytest.raises(RankDeficiencyError, match="column 3 is numerically dependent"):
+            qr_positive(a)
+
+    def test_qr_positive_rejects_nan(self):
+        a = np.random.default_rng(5).standard_normal((6, 3))
+        a[2, 1] = np.nan
+        with pytest.raises(NumericsError, match="qr input contains non-finite entries"):
+            qr_positive(a)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6))
