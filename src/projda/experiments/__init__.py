@@ -9,12 +9,11 @@ from .sweep import (
     write_summary_csv,
     write_trial_csv,
 )
-from .trial import ReductionDriver, run_trial, training_trajectory
+from .trial import run_trial, training_trajectory
 
 __all__ = [
     "ExperimentConfig",
     "MetricsRecord",
-    "ReductionDriver",
     "SummaryRow",
     "default_config",
     "load_config",

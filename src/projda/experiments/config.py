@@ -170,10 +170,10 @@ class ExperimentConfig:
                 if self.burn_in + self.training_steps < self.aus_spinup * self.steps_per_observation:
                     raise bad("reduction", "aus_spinup",
                               "burn_in + training_steps is shorter than the spin-up window")
-            if self.reduction_kind in ("pod", "dmd") and not self.basis_file:
-                if self.n_training_snapshots < max(self.r_p, 3):
-                    raise bad("reduction", "training_steps",
-                              f"only {self.n_training_snapshots} snapshots for rank {self.r_p}")
+            need = _snapshots_needed(self)
+            if not self.snapshot_file and self.n_training_snapshots < need:
+                raise bad("reduction", "training_steps",
+                          f"only {self.n_training_snapshots} snapshots, need {need}")
         if self.dmd_rank < 0:
             raise bad("reduction", "dmd_rank", "must be >= 0 (0 picks the rank from the data)")
         if self.n_particles < 1:
@@ -213,6 +213,17 @@ class ExperimentConfig:
                           f"data-based reduction needs r_d <= the {h.data_dim} observed "
                           f"components, got {self.r_d}")
         return self
+
+
+def _snapshots_needed(config: ExperimentConfig) -> int:
+    """The fewest snapshots a trial of config trains its bases on: max(r_p, 3)
+    for a POD or DMD state basis not read from a file, r_d for a data-based
+    data basis, the larger where it trains both; 0 where it trains on none."""
+    if config.uses_identity_reduction:
+        return 0
+    trains_u = config.reduction_kind in ("pod", "dmd") and not config.basis_file
+    return max(max(config.r_p, 3) if trains_u else 0,
+               config.r_d if config.data_reduction == "data" else 0)
 
 
 # The dataclass defaults are the Lorenz-96 ones; the shallow-water model

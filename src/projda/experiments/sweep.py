@@ -90,23 +90,9 @@ def _run_chunk(chunk, memo: TrialMemo | None = None) -> list:
     return [(p, t, run_trial(cfg, t, memo)) for p, t, cfg in chunk]
 
 
-def _read_input_files(points: list[ExperimentConfig]) -> TrialMemo:
-    """Read every point's input files before any trial runs, so that a bad
-    file stops the run with one ReductionError. Returns a memo holding them,
-    for the trials of this process."""
-    memo = TrialMemo()
-    for cfg in points:
-        _file_inputs(cfg, cfg.build_model().dimension, memo.files)
-    return memo
-
-
 def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
     """All trials of a single configuration, in trial order."""
-    workers, blas_threads = _pool_shape(jobs, config.trials)
-    memo = _read_input_files([config])
-    chunks = [[(0, t, config)] for t in range(config.trials)]
-    results = _execute(chunks, workers, blas_threads, memo)
-    return [results[(0, t)] for t in range(config.trials)]
+    return _run_points([config], config.trials, jobs)[0]
 
 
 # (prefix, suffix) of the thread-count entry points: numpy's 64-bit-integer
@@ -224,21 +210,28 @@ def summarize(config: ExperimentConfig, records: list[MetricsRecord]) -> Summary
     )
 
 
-def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
-    points = sweep_points(config)
-    workers, blas_threads = _pool_shape(jobs, len(points) * config.trials)
-    memo = _read_input_files(points)
+def _run_points(points: list[ExperimentConfig], trials: int, jobs: int) -> list[list]:
+    """The records of trials 0 .. trials - 1 of each point, in trial order,
+    run by up to jobs worker processes. Every point's input files are read
+    first, so that a bad file stops the run with one ReductionError before
+    any trial; the serial path's trials reuse what was read."""
+    workers, blas_threads = _pool_shape(jobs, len(points) * trials)
+    memo = TrialMemo()
+    for cfg in points:
+        _file_inputs(cfg, cfg.build_model().dimension, memo.files)
     chunks = [[(p, t, points[p]) for p, t in chunk]
-              for chunk in _trial_chunks(len(points), config.trials, workers)]
+              for chunk in _trial_chunks(len(points), trials, workers)]
     logger.info("sweep: %d points x %d trials, %d worker(s), BLAS threads per worker: %s",
-                len(points), config.trials, workers,
+                len(points), trials, workers,
                 "library default" if blas_threads is None else blas_threads)
     results = _execute(chunks, workers, blas_threads, memo)
-    rows = []
-    for p, cfg in enumerate(points):
-        records = [results[(p, t)] for t in range(cfg.trials)]
-        rows.append(summarize(cfg, records))
-    return rows
+    return [[results[(p, t)] for t in range(trials)] for p in range(len(points))]
+
+
+def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
+    points = sweep_points(config)
+    return [summarize(cfg, records)
+            for cfg, records in zip(points, _run_points(points, config.trials, jobs))]
 
 
 # ---------------------------------------------------------------------------

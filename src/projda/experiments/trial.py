@@ -48,7 +48,7 @@ from ..reduction import (
 from ..reduction.aus import tangent_block
 from ..reduction.pod import pod_leading
 from ..reduction.reduced_model import conjugate_noise, forecast_columns
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _snapshots_needed
 from .metrics import MetricsRecord, rmse, rmse_projected
 
 logger = logging.getLogger("projda.experiments")
@@ -62,26 +62,26 @@ def _initial_state(config: ExperimentConfig, model, rng: RngStream) -> np.ndarra
                                    perturb_amplitude=config.perturb_amplitude)
 
 
-def _needs_snapshots(config: ExperimentConfig) -> bool:
-    if config.uses_identity_reduction:
-        return False
-    from_training = config.reduction_kind in ("pod", "dmd") and not config.basis_file
-    return from_training or config.data_reduction == "data"
-
-
 def _file_inputs(config: ExperimentConfig, dimension: int, files: dict) -> tuple:
     """The snapshots and the basis a trial of config reads from its
     snapshot_file and basis_file, each None where it reads no such file.
     files keeps what each file held, so that a process reads each file once.
     Raises ReductionError naming the file when it cannot be read, holds
-    states of another dimension, or has fewer than r_p basis columns."""
+    states of another dimension, or has fewer snapshots than the bases it
+    trains need or fewer than r_p basis columns."""
     snapshots = basis = None
-    if config.snapshot_file and _needs_snapshots(config):
+    need = _snapshots_needed(config)
+    if config.snapshot_file and need:
         snapshots = _read(files, config.snapshot_file, _load_states)
         if snapshots.shape[1] != dimension:
             raise ReductionError(
                 f"snapshot file {config.snapshot_file} is for dimension "
                 f"{snapshots.shape[1]}, model has {dimension}"
+            )
+        if len(snapshots) < need:
+            raise ReductionError(
+                f"snapshot file {config.snapshot_file} holds {len(snapshots)} "
+                f"snapshots, need {need}"
             )
     if (config.basis_file and config.reduction_kind in ("pod", "dmd")
             and not config.uses_identity_reduction):
@@ -118,7 +118,7 @@ def _walk(config: ExperimentConfig) -> tuple:
     """_spin_up's arguments after x0 for a trial: burn-in, training steps, the
     snapshot stride (None when the trial trains on no in-trial snapshots) and
     the basis spin-up window in observation cycles (0 when it needs none)."""
-    record_snaps = _needs_snapshots(config) and not config.snapshot_file
+    record_snaps = _snapshots_needed(config) > 0 and not config.snapshot_file
     record_anchors = config.reduction_kind == "aus" and not config.uses_identity_reduction
     return (config.burn_in, config.training_steps,
             config.training_stride if record_snaps else None,
@@ -210,91 +210,47 @@ class TrialMemo:
         return pod_leading(self.pods[key][1], r)
 
 
-class ReductionDriver:
-    """Owns the reduction bases of one trial and rolls them forward in time.
+def _bases(config: ExperimentConfig, model, h, q, r, snapshots, anchors,
+           rng: RngStream, memo: TrialMemo) -> tuple:
+    """The incoming basis of a trial's first cycle and its fixed reduced
+    model, None for the unstable-subspace basis, which is re-derived every
+    cycle. The config's snapshot_file and basis_file, where it uses them,
+    take the place of the in-trial snapshots and of the trained basis."""
+    if config.uses_identity_reduction:
+        reduced = identity_reduced_model(model, h, q, r)
+        return reduced.basis_in, reduced
 
-    POD and DMD bases are fixed; the unstable-subspace basis is re-derived
-    every cycle by propagating tangent directions from the current analysis
-    mean, so advance() must run before each filter step. u is the incoming
-    basis of the upcoming cycle. The config's snapshot_file and basis_file,
-    where it uses them, take the place of the in-trial snapshots and of the
-    trained basis; memo, when given, is shared with other trials."""
+    file_snapshots, u_file = _file_inputs(config, model.dimension, memo.files)
+    if file_snapshots is not None:
+        snapshots = file_snapshots
+    kind = config.reduction_kind
+    if u_file is not None:
+        u = u_file.leading(config.r_p)
+    elif kind == "pod":
+        u = memo.pod(snapshots, config.r_p)
+    elif kind == "dmd":
+        result = dmd(snapshots.T, rank=config.dmd_rank or None,
+                     dt=model.dt * config.training_stride)
+        u = dmd_basis(result, config.r_p)
+    else:
+        return _spin_up_aus(config, model, anchors, rng), None
 
-    def __init__(self, config: ExperimentConfig, model, h, q, r,
-                 snapshots, anchors, rng: RngStream, memo: TrialMemo | None = None):
-        memo = TrialMemo() if memo is None else memo
-        self.config = config
-        self.model = model
-        self.h, self.q, self.r = h, q, r
-        self.time_dependent = False
+    if config.data_reduction == "model":
+        v = u.leading(config.r_d)
+    else:
+        v = memo.pod(snapshots, config.r_d, h)
+    return u, build_reduced_model(model, h, q, r, u, v, kind=config.data_reduction)
 
-        if config.uses_identity_reduction:
-            self.reduced = identity_reduced_model(model, h, q, r)
-            self.u = self.reduced.basis_in
-            return
 
-        file_snapshots, u_file = _file_inputs(config, model.dimension, memo.files)
-        if file_snapshots is not None:
-            snapshots = file_snapshots
-        kind = config.reduction_kind
-        if u_file is not None:
-            u = u_file.leading(config.r_p)
-        elif kind == "pod":
-            u = memo.pod(snapshots, config.r_p)
-        elif kind == "dmd":
-            result = dmd(snapshots.T, rank=config.dmd_rank or None,
-                         dt=model.dt * config.training_stride)
-            u = dmd_basis(result, config.r_p)
-        else:
-            u = self._spin_up_aus(anchors, rng)
-            self.time_dependent = True
-
-        if config.data_reduction == "model":
-            v = u.leading(config.r_d)
-        else:
-            v = memo.pod(snapshots, config.r_d, h)
-        self.u = u
-        if self.time_dependent:
-            self.reduced = None
-        else:
-            self.reduced = build_reduced_model(model, h, q, r, u, v,
-                                               kind=config.data_reduction)
-
-    def _spin_up_aus(self, anchors, rng: RngStream) -> ReductionBasis:
-        gen = rng.child(TRAINING).generator()
-        seed_mat = gen.standard_normal((self.model.dimension, self.config.r_p))
-        q_mat, _ = qr_positive(seed_mat)
-        u = ReductionBasis(q_mat, kind="aus", validate=False)
-        for anchor in anchors:
-            u, _ = aus_step(self.model, anchor, u, eps=self.config.aus_eps)
-        return u
-
-    def _anchor(self, ensemble) -> np.ndarray:
-        return self.u.reconstruct(ensemble.mean())
-
-    def tangent_block(self, ensemble):
-        """The states advance maps for the upcoming cycle: the tangent block
-        at the ensemble's mean, None for a fixed basis."""
-        if not self.time_dependent:
-            return None
-        return tangent_block(self._anchor(ensemble), self.u.columns, self.config.aus_eps)
-
-    def advance(self, ensemble, mapped=None):
-        """Prepare the reduced model of the upcoming cycle: a time-dependent
-        basis steps from the current u to the next, which becomes u. mapped,
-        when given, is model.cycle_map of tangent_block(ensemble), already
-        taken."""
-        if not self.time_dependent:
-            return self.reduced
-        u_next, _ = aus_step(self.model, self._anchor(ensemble), self.u,
-                             eps=self.config.aus_eps, mapped=mapped)
-        self.reduced = build_reduced_model(
-            self.model, self.h, self.q, self.r,
-            u=self.u, u_out=u_next, v=u_next.leading(self.config.r_d),
-            kind="model",
-        )
-        self.u = u_next
-        return self.reduced
+def _spin_up_aus(config: ExperimentConfig, model, anchors, rng: RngStream) -> ReductionBasis:
+    """The unstable-subspace basis stepped from a random start through the anchors."""
+    gen = rng.child(TRAINING).generator()
+    seed_mat = gen.standard_normal((model.dimension, config.r_p))
+    q_mat, _ = qr_positive(seed_mat)
+    u = ReductionBasis(q_mat, kind="aus", validate=False)
+    for anchor in anchors:
+        u, _ = aus_step(model, anchor, u, eps=config.aus_eps)
+    return u
 
 
 class _Trial:
@@ -322,10 +278,11 @@ class _Trial:
         x_init = _initial_state(config, model, rng)
         self.x_truth, snapshots, anchors = _shared_spin_up(config, model, x_init,
                                                            memo.spin_ups)
-        self.driver = driver = ReductionDriver(config, model, h, q, r, snapshots,
-                                               anchors, rng, memo)
-        z0 = driver.u.reduce(self.x_truth)
-        q0 = conjugate_noise(q, driver.u)
+        self.u, self.reduced = _bases(config, model, h, q, r, snapshots, anchors,
+                                      rng, memo)
+        self.time_dependent = self.reduced is None
+        z0 = self.u.reduce(self.x_truth)
+        q0 = conjugate_noise(q, self.u)
         self.ensemble = initialize_ensemble(z0, q0, config.n_particles,
                                             rng.child(FILTER_INIT))
 
@@ -357,30 +314,35 @@ class _Trial:
         order a trial uses them: the truth, the tangent block of a
         time-dependent basis, the particles as columns."""
         self.t += 1
-        tangent = self.driver.tangent_block(self.ensemble)
-        particles = forecast_columns(self.driver.u, self.ensemble.particles)
-        return [self.x_truth] + ([] if tangent is None else [tangent]) + [particles]
+        blocks = [self.x_truth]
+        if self.time_dependent:
+            blocks.append(tangent_block(self.u.reconstruct(self.ensemble.mean()),
+                                        self.u.columns, self.config.aus_eps))
+        return blocks + [forecast_columns(self.u, self.ensemble.particles)]
 
-    def finish_cycle(self, mapped: list | None = None):
+    def finish_cycle(self, mapped: list):
         """The rest of the cycle from the states of begin_cycle mapped, in the
-        same order: truth noise, observation, basis advance, filter update,
-        metrics. Without them each map runs here, at the point of use."""
+        same order: truth noise, observation, basis advance (a time-dependent
+        u steps on to the next), filter update, metrics."""
         config, t, rng = self.config, self.t, self.rng
-        if mapped is None:
-            x_truth = self.model.cycle_map(self.x_truth)
-            tangent = particles = None
-        else:
-            x_truth, particles = mapped[0], mapped[-1]
-            tangent = mapped[1] if len(mapped) == 3 else None
+        x_truth, particles = mapped[0], mapped[-1]
         if config.truth_noise:
             x_truth = x_truth + self.q.sample(rng.child(TRUTH_NOISE, t))
         self.x_truth = x_truth
         y = observe(x_truth, self.h, self.r, rng.child(OBS_NOISE, t))
 
-        reduced = self.driver.advance(self.ensemble, tangent)
+        if self.time_dependent:
+            u_next, _ = aus_step(self.model, self.u.reconstruct(self.ensemble.mean()),
+                                 self.u, eps=config.aus_eps, mapped=mapped[1])
+            self.reduced = build_reduced_model(
+                self.model, self.h, self.q, self.r,
+                u=self.u, u_out=u_next, v=u_next.leading(config.r_d), kind="model",
+            )
+            self.u = u_next
+        reduced = self.reduced
         y_hat = reduced.reduce_data(y)
         step_rng = rng.child(FILTER_STEP, t)
-        fz = None if particles is None else reduced.forecast_rows(particles)
+        fz = reduced.forecast_rows(particles)
         if config.uses_optimal_proposal:
             self.ensemble = proj_oppf_step(self.ensemble, reduced, y, y_hat,
                                            step_rng, self.fcfg, fz)
@@ -438,17 +400,15 @@ def _cycle(model, trials: list):
     if not begun:
         return
     try:
-        mapped = _map_together(model, [b for _, blocks in begun for b in blocks])
+        together = iter(_map_together(model, [b for _, blocks in begun for b in blocks]))
+        mapped = [[next(together) for _ in blocks] for _, blocks in begun]
     except Exception:
-        # some state could not be mapped: each trial maps its own where it
-        # uses them, so a failure and its message are the failing trial's own
-        for trial, _ in begun:
-            trial.guard(trial.finish_cycle)
-        return
-    start = 0
-    for trial, blocks in begun:
-        trial.guard(trial.finish_cycle, mapped[start:start + len(blocks)])
-        start += len(blocks)
+        # some state could not be mapped: each trial maps its own blocks with
+        # the calls it makes alone, so a failure and its message are its own
+        mapped = [trial.guard(list, map(model.cycle_map, blocks)) for trial, blocks in begun]
+    for (trial, _), own in zip(begun, mapped):
+        if own is not None:
+            trial.guard(trial.finish_cycle, own)
 
 
 def _run_lockstep(keys: list, memo: TrialMemo) -> list[MetricsRecord]:

@@ -1,8 +1,8 @@
 """Lorenz-96 cyclic lattice model with fixed-step RK4 integration.
 
-A step, and l96_rhs, run in the buffers of one plan per state shape and
-memory order, built on first use and kept for the life of the process. Each
-returns a fresh array, and calls on one shape must not overlap (no threads).
+A step, and l96_rhs, run in the buffers of one plan per state shape, built
+on first use and kept for the life of the process. Each returns a fresh array
+in its input's memory order; calls on one shape must not overlap (no threads).
 """
 
 from __future__ import annotations
@@ -31,19 +31,16 @@ _PLANS: dict[tuple, "_StepPlan"] = {}
 
 
 def _plan(x: np.ndarray) -> "_StepPlan":
-    """The plan of states of x's shape, in the memory order np.empty_like(x)
-    allocates, built once per process."""
-    f_order = x.ndim == 2 and not x.flags.c_contiguous and abs(x.strides[0]) < abs(x.strides[1])
-    key = (x.shape, "F" if f_order else "C")
-    if key not in _PLANS:
+    """The plan of states of x's shape, built once per process."""
+    if x.shape not in _PLANS:
         if x.shape[0] < 4:
             raise ValueError("Lorenz-96 needs dimension >= 4")
-        _PLANS[key] = _StepPlan(*key)
-    return _PLANS[key]
+        _PLANS[x.shape] = _StepPlan(x.shape)
+    return _PLANS[x.shape]
 
 
 class _StepPlan:
-    """Buffers for the RK4 step of states of one shape and memory order.
+    """C-ordered buffers for the RK4 step of states of one shape.
 
     The stage state lives in the rows u[M-2], u[M-1], u[0..M-1], u[0], so its
     cyclic neighbours are row slices. Each element gets the float operations
@@ -51,13 +48,12 @@ class _StepPlan:
     order, so every value matches it bit for bit.
     """
 
-    def __init__(self, shape: tuple, order: str):
+    def __init__(self, shape: tuple):
         m = shape[0]
-        self.shape, self.order = shape, order
-        w = np.zeros((m + 3,) + shape[1:], order=order)
+        w = np.zeros((m + 3,) + shape[1:])
         self.ip1, self.im1, self.im2, self.stage = w[3:], w[1:m + 1], w[:m], w[2:m + 2]
         self.wraps = ((w[:2], w[m:m + 2]), (w[m + 2:], w[2:3]))
-        self.k = [np.zeros(shape, order=order) for _ in range(5)]  # k1..k4, scratch
+        self.k = [np.zeros(shape) for _ in range(5)]  # k1..k4, scratch
 
     def tendency(self, forcing, out: np.ndarray) -> np.ndarray:
         """The Lorenz-96 tendency of the stage state, into out."""
@@ -84,7 +80,7 @@ class _StepPlan:
         k2 += k3
         k2 += k4
         k2 *= sixth
-        out = np.add(x, k2, out=np.empty(self.shape, order=self.order))
+        out = np.add(x, k2, out=np.empty_like(x))
         if not np.isfinite(out).all():
             raise BlowupError("RK4 step produced non-finite values")
         return out

@@ -112,6 +112,20 @@ class TestConfig:
             _tiny(filter_kind="projoppf", reduction_kind="pod",
                   training_steps=10, training_stride=5)  # 3 snapshots < r_p=4
 
+    def test_a_snapshot_file_lifts_the_training_window_bound(self):
+        # the trial trains on the file, whose length _file_inputs checks
+        default_config("l96", reduction_kind="pod", filter_kind="projoppf", r_p=20,
+                       r_d=5, snapshot_file="x.bin", training_steps=10, training_stride=5)
+
+    def test_data_based_data_basis_needs_rd_snapshots(self):
+        # the state basis comes from a file; the 3 in-trial snapshots train
+        # the data basis alone
+        short = dict(filter_kind="projoppf", reduction_kind="pod", basis_file="b.bin",
+                     data_reduction="data", training_steps=10, training_stride=5)
+        _tiny(r_d=3, **short)
+        with pytest.raises(ConfigError, match="only 3 snapshots, need 4"):
+            _tiny(r_d=4, **short)
+
     def test_sweep_axes_are_model_specific(self):
         with pytest.raises(ConfigError):
             _tiny(sweep_scenario=("all",))
@@ -440,7 +454,7 @@ class TestSpinUpSharing:
         paths = [str(tmp_path / "serial.csv"), str(tmp_path / "parallel.csv")]
         write_summary_csv(paths[0], serial, cfg.model_kind)
         write_summary_csv(paths[1], run_sweep(cfg, jobs=2), cfg.model_kind)
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
     def test_pool_workers_walk_each_trial_once(self, monkeypatch, tmp_path):
         """4 trials share evenly between 2 workers, so each goes out whole and
@@ -603,4 +617,4 @@ class TestCsvWriters:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_trial_csv(p1, run_point(cfg), cycle_dt=cfg.dt * cfg.steps_per_observation)
         write_trial_csv(p2, run_point(cfg), cycle_dt=cfg.dt * cfg.steps_per_observation)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()

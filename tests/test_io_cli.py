@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,16 +42,17 @@ class TestSnapshotFiles:
         states = np.array([[1.0, 2.0], [3.0, 4.0]])
         path = str(tmp_path / "snaps.bin")
         save_snapshots(path, states, {"model": "l96", "dt": 1.0})
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw == states.astype("<f8").tobytes(order="C")
-        sidecar = json.load(open(path + ".json"))
+        sidecar = json.loads(Path(path + ".json").read_text())
         assert set(sidecar) == {"model", "M", "n_steps", "dt", "seed", "noise_on"}
 
     def test_size_mismatch_rejected(self, tmp_path):
         states = np.ones((4, 3))
         path = str(tmp_path / "snaps.bin")
         save_snapshots(path, states, {"model": "l96", "dt": 1.0})
-        open(path, "ab").write(np.zeros(1).tobytes())
+        with open(path, "ab") as fh:
+            fh.write(np.zeros(1).tobytes())
         with pytest.raises(ReductionError, match="multiple of M"):
             load_snapshots(path)
 
@@ -64,8 +66,8 @@ def _save_basis_file(path):
 
 
 def _truncate(path):
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:8 * 5])
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:8 * 5])
 
 
 def _truncated_basis(path):
@@ -79,9 +81,9 @@ def _three_column_basis(path):
 
 
 def _drop_m(path):
-    sidecar = json.load(open(path + ".json"))
+    sidecar = json.loads(Path(path + ".json").read_text())
     del sidecar["M"]
-    json.dump(sidecar, open(path + ".json", "w"))
+    Path(path + ".json").write_text(json.dumps(sidecar))
 
 
 def _poison(path):
@@ -171,6 +173,26 @@ class TestMalformedFiles:
         assert "basis.bin" in err[0]
 
 
+    @pytest.mark.parametrize("argv", [["assimilate"], ["sweep"], ["sweep", "--jobs", "2"]],
+                             ids=["assimilate", "sweep", "sweep-jobs2"])
+    @pytest.mark.parametrize("rows, extra", [
+        (3, ""),  # the file trains the state basis, of rank r_p = 4 at the second point
+        (1, "data_reduction = data\nbasis_file = {basis}\n"),  # the data basis, r_d = 2
+    ], ids=["state-basis", "data-basis"])
+    def test_short_snapshot_file_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                          monkeypatch, argv, rows, extra):
+        snapshots, basis = str(tmp_path / "truth.bin"), str(tmp_path / "basis.bin")
+        save_snapshots(snapshots, np.ones((rows, 8)), {"model": "l96", "dt": 0.05})
+        save_basis(basis, ReductionBasis(np.eye(8)[:, :4], kind="pod"))
+        extra = f"snapshot_file = {snapshots}\n" + extra.format(basis=basis)
+        ini = _write_ini(tmp_path, reduction_extra=extra, experiment_extra="sweep_r_p = 2, 4\n")
+        monkeypatch.setattr(sweep, "_execute", _no_trials)
+        assert dispatch(argv + ["--config", ini, "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: snapshot file"), err
+        assert "truth.bin" in err[0]
+
+
 def _no_convergence(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
 
@@ -210,7 +232,7 @@ class TestCliTruth:
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         dispatch(["truth", "--config", ini, "--out", a, "--seed", "1"])
         dispatch(["truth", "--config", ini, "--out", b, "--seed", "2"])
-        assert open(a, "rb").read() != open(b, "rb").read()
+        assert Path(a).read_bytes() != Path(b).read_bytes()
 
 
 class TestCliReduce:
@@ -229,7 +251,7 @@ class TestCliReduce:
         assert basis.kind == "pod" and basis.rank == 4 and basis.state_dim == 8
         gram = basis.columns.T @ basis.columns
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
-        sidecar = json.load(open(out + ".json"))
+        sidecar = json.loads(Path(out + ".json").read_text())
         assert sidecar["source_snapshot_file"].endswith("truth.bin")
         assert sidecar["parameters"] == {"rank": 4}
 
@@ -268,7 +290,7 @@ class TestCliAssimilate:
         cfg = load_config(ini)
         mine = str(tmp_path / "mine.csv")
         write_trial_csv(mine, run_point(cfg), cfg.build_model().cycle_dt)
-        assert open(out, "rb").read() == open(mine, "rb").read()
+        assert Path(out).read_bytes() == Path(mine).read_bytes()
 
     def test_pipeline_files_equal_in_trial_run(self, tmp_path, capsys):
         # truth -> reduce -> assimilate through files, against one self-
@@ -288,7 +310,7 @@ class TestCliAssimilate:
         assert dispatch(["assimilate", "--config", staged, "--out", m_staged]) == 0
         assert dispatch(["assimilate", "--config", direct, "--out", m_direct]) == 0
         capsys.readouterr()
-        assert open(m_staged, "rb").read() == open(m_direct, "rb").read()
+        assert Path(m_staged).read_bytes() == Path(m_direct).read_bytes()
 
     def test_seed_override_is_deterministic(self, tmp_path, capsys):
         ini = _write_ini(tmp_path)
@@ -297,8 +319,8 @@ class TestCliAssimilate:
         dispatch(["assimilate", "--config", ini, "--out", b, "--seed", "5"])
         dispatch(["assimilate", "--config", ini, "--out", c, "--seed", "6"])
         capsys.readouterr()
-        assert open(a, "rb").read() == open(b, "rb").read()
-        assert open(a, "rb").read() != open(c, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+        assert Path(a).read_bytes() != Path(c).read_bytes()
 
     def test_rank_overrides_change_results(self, tmp_path, capsys):
         ini = _write_ini(tmp_path)
@@ -307,7 +329,7 @@ class TestCliAssimilate:
         dispatch(["assimilate", "--config", ini, "--out", b,
                   "--r", "6", "--rd", "3"])
         capsys.readouterr()
-        assert open(a, "rb").read() != open(b, "rb").read()
+        assert Path(a).read_bytes() != Path(b).read_bytes()
 
 
 class TestCliSweep:
@@ -317,10 +339,10 @@ class TestCliSweep:
         assert dispatch(["sweep", "--config", ini, "--out", a]) == 0
         assert dispatch(["sweep", "--config", ini, "--out", b, "--jobs", "2"]) == 0
         assert "2 summary rows" in capsys.readouterr().out
-        lines = open(a).read().splitlines()
+        lines = Path(a).read_text().splitlines()
         assert len(lines) == 3
         assert [row.split(",")[0] for row in lines[1:]] == ["4", "6"]
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     @pytest.mark.parametrize("reduction_extra, experiment_extra, rank", [
         ("", "sweep_r_p = 4, 6\n", ["--r", "9"]),
@@ -335,7 +357,7 @@ class TestCliSweep:
         out = str(tmp_path / "summary.csv")
         assert dispatch(["sweep", "--config", ini, "--out", out] + rank) == 0
         capsys.readouterr()
-        rows = open(out).read().splitlines()[1:]
+        rows = Path(out).read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["0", "0"]
 
 
@@ -346,7 +368,7 @@ class TestCliLyapunov:
         assert dispatch(["lyapunov", "--config", ini, "--out", out]) == 0
         printed = capsys.readouterr().out
         assert "lambda_1" in printed and "kaplan_yorke" in printed
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "index,exponent"
         assert len(lines) == 10  # header, 8 exponents, dimension row
         assert lines[-1].startswith("kaplan_yorke,")

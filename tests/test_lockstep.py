@@ -19,7 +19,6 @@ import projda.experiments.trial as trial_module
 from projda.errors import ProjdaError
 from projda.experiments import (
     MetricsRecord,
-    ReductionDriver,
     default_config,
     replace,
     rmse,
@@ -29,29 +28,50 @@ from projda.experiments import (
     sweep,
     training_trajectory,
 )
-from projda.experiments.trial import _initial_state, _map_together, _shared_spin_up
+from projda.experiments.config import ExperimentConfig
+from projda.experiments.trial import (
+    TrialMemo,
+    _file_inputs,
+    _initial_state,
+    _map_together,
+    _shared_spin_up,
+)
 from projda.filters import initialize_ensemble, proj_oppf_step, proj_pf_step
 from projda.models import L96Spec, SWESpec, observe, save_snapshots
 from projda.numerics import (
     FILTER_INIT,
     FILTER_STEP,
     OBS_NOISE,
+    TRAINING,
     TRUTH_NOISE,
     NoiseSpec,
     RngStream,
+    qr_positive,
 )
-from projda.reduction import pod_basis, save_basis
+from projda.reduction import (
+    ReductionBasis,
+    aus_step,
+    build_reduced_model,
+    dmd,
+    dmd_basis,
+    identity_reduced_model,
+    pod_basis,
+    save_basis,
+)
+from projda.reduction.aus import tangent_block
 from projda.reduction.reduced_model import conjugate_noise
 
 logger = logging.getLogger("projda.experiments")
 
 
 def _reference_trial(config, trial_index: int) -> MetricsRecord:
-    """The body of run_trial before lockstep, verbatim but for two marked
-    lines: the spin-up memo is a fresh dict (the parent accepted None), and
-    the driver's incoming basis is named u (the parent's initial_basis).
-    ReductionDriver.advance(ensemble) without a mapped block and the filter
-    steps without fz map their states themselves, as the parent's did."""
+    """The body of run_trial before lockstep, verbatim but for three marked
+    adaptations: the spin-up memo is a fresh dict (the parent accepted None), the
+    driver's incoming basis is named u (the parent's initial_basis), and the
+    driver is ReductionDriver below, the class run_trial used before lockstep
+    folded it into its trials. ReductionDriver.advance(ensemble) without a
+    mapped block and the filter steps without fz map their states themselves,
+    as the parent's did."""
     rng = RngStream(config.base_seed).child(trial_index)
     model = config.build_model()
     h = config.build_observation(model)
@@ -64,7 +84,7 @@ def _reference_trial(config, trial_index: int) -> MetricsRecord:
     try:
         x_init = _initial_state(config, model, rng)
         x_start, snapshots, anchors = _shared_spin_up(config, model, x_init, {})  # adapted
-        driver = ReductionDriver(config, model, h, q, r, snapshots, anchors, rng)
+        driver = ReductionDriver(config, model, h, q, r, snapshots, anchors, rng)  # adapted
 
         z0 = driver.u.reduce(x_start)  # adapted
         q0 = conjugate_noise(q, driver.u)  # adapted
@@ -107,6 +127,95 @@ def _reference_trial(config, trial_index: int) -> MetricsRecord:
         logger.info("trial %d: mean rmse %.4g, resampled %.1f%%",
                     trial_index, record.mean_rmse, 100 * record.resample_fraction)
     return record
+
+
+# The reference's driver: the class run_trial used before lockstep folded it
+# into its trials, verbatim.
+class ReductionDriver:
+    """Owns the reduction bases of one trial and rolls them forward in time.
+
+    POD and DMD bases are fixed; the unstable-subspace basis is re-derived
+    every cycle by propagating tangent directions from the current analysis
+    mean, so advance() must run before each filter step. u is the incoming
+    basis of the upcoming cycle. The config's snapshot_file and basis_file,
+    where it uses them, take the place of the in-trial snapshots and of the
+    trained basis; memo, when given, is shared with other trials."""
+
+    def __init__(self, config: ExperimentConfig, model, h, q, r,
+                 snapshots, anchors, rng: RngStream, memo: TrialMemo | None = None):
+        memo = TrialMemo() if memo is None else memo
+        self.config = config
+        self.model = model
+        self.h, self.q, self.r = h, q, r
+        self.time_dependent = False
+
+        if config.uses_identity_reduction:
+            self.reduced = identity_reduced_model(model, h, q, r)
+            self.u = self.reduced.basis_in
+            return
+
+        file_snapshots, u_file = _file_inputs(config, model.dimension, memo.files)
+        if file_snapshots is not None:
+            snapshots = file_snapshots
+        kind = config.reduction_kind
+        if u_file is not None:
+            u = u_file.leading(config.r_p)
+        elif kind == "pod":
+            u = memo.pod(snapshots, config.r_p)
+        elif kind == "dmd":
+            result = dmd(snapshots.T, rank=config.dmd_rank or None,
+                         dt=model.dt * config.training_stride)
+            u = dmd_basis(result, config.r_p)
+        else:
+            u = self._spin_up_aus(anchors, rng)
+            self.time_dependent = True
+
+        if config.data_reduction == "model":
+            v = u.leading(config.r_d)
+        else:
+            v = memo.pod(snapshots, config.r_d, h)
+        self.u = u
+        if self.time_dependent:
+            self.reduced = None
+        else:
+            self.reduced = build_reduced_model(model, h, q, r, u, v,
+                                               kind=config.data_reduction)
+
+    def _spin_up_aus(self, anchors, rng: RngStream) -> ReductionBasis:
+        gen = rng.child(TRAINING).generator()
+        seed_mat = gen.standard_normal((self.model.dimension, self.config.r_p))
+        q_mat, _ = qr_positive(seed_mat)
+        u = ReductionBasis(q_mat, kind="aus", validate=False)
+        for anchor in anchors:
+            u, _ = aus_step(self.model, anchor, u, eps=self.config.aus_eps)
+        return u
+
+    def _anchor(self, ensemble) -> np.ndarray:
+        return self.u.reconstruct(ensemble.mean())
+
+    def tangent_block(self, ensemble):
+        """The states advance maps for the upcoming cycle: the tangent block
+        at the ensemble's mean, None for a fixed basis."""
+        if not self.time_dependent:
+            return None
+        return tangent_block(self._anchor(ensemble), self.u.columns, self.config.aus_eps)
+
+    def advance(self, ensemble, mapped=None):
+        """Prepare the reduced model of the upcoming cycle: a time-dependent
+        basis steps from the current u to the next, which becomes u. mapped,
+        when given, is model.cycle_map of tangent_block(ensemble), already
+        taken."""
+        if not self.time_dependent:
+            return self.reduced
+        u_next, _ = aus_step(self.model, self._anchor(ensemble), self.u,
+                             eps=self.config.aus_eps, mapped=mapped)
+        self.reduced = build_reduced_model(
+            self.model, self.h, self.q, self.r,
+            u=self.u, u_out=u_next, v=u_next.leading(self.config.r_d),
+            kind="model",
+        )
+        self.u = u_next
+        return self.reduced
 
 
 def assert_same_record(a: MetricsRecord, b: MetricsRecord):
@@ -228,16 +337,20 @@ def _raise_in_cycle(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("model", ["l96", "swe"])
+@pytest.mark.parametrize("model, reduction", [
+    ("l96", "pod"), ("swe", "pod"), ("l96", "aus"),
+], ids=["l96", "swe", "l96-aus"])
 @pytest.mark.parametrize("inject, failure", [
     (_blow_up_particle, "BlowupError: "),
     (_raise_in_cycle, f"RuntimeError: injected (at observation {_FAILING_CYCLE})"),
 ], ids=["non-finite-column", "runtime-error"])
 def test_a_failing_trial_leaves_its_siblings_as_they_run_alone(
-        monkeypatch, inject, failure, model, jobs):
+        monkeypatch, inject, failure, model, reduction, jobs):
+    # a failing group maps each trial's blocks on their own: the truth and the
+    # particles, and the tangent block of the unstable-subspace basis
     inject(monkeypatch)
     _forked_pool(monkeypatch)
-    config = _config(model, "pod", "oppf", sweep_r_p=(2, 3, 4))
+    config = _config(model, reduction, "oppf", sweep_r_p=(2, 3, 4))
     points = sweep.sweep_points(config)
     grouped = _lockstep_records(config, jobs)
     for (p, t), record in grouped.items():

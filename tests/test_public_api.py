@@ -3,7 +3,8 @@
 The full-space filters are proj_pf_step and proj_oppf_step run with
 identity_reduced_model, the resampling jitter is ReducedModel.jitter_noise,
 and the experiment driver walks every deterministic trajectory. The names
-below were second copies of these or wrappers only tests called.
+below were second copies of these or wrappers only tests called;
+ReductionDriver was a layer whose one caller, a trial, holds all its state.
 
 numpy is the only runtime dependency: the package imports no scipy, and runs
 with scipy made unimportable. The README's first library example runs as
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import projda
-from projda import filters, models, numerics, reduction
+from projda import experiments, filters, models, numerics, reduction
 from projda.filters import ParticleEnsemble
 from projda.models import L96Spec, ObservationOperator, simulate
 from projda.reduction import ReducedModel, ReductionBasis, identity_basis, reduced_model
@@ -29,11 +30,12 @@ REMOVED = [
     "matrix", "pinv_matrix", "project",
     "standard_pf_step", "oppf_step", "projected_resample_noise",
     "smoothed_noise_rows", "simulate_truth", "run_deterministic",
-    "step_rk4",
+    "step_rk4", "ReductionDriver",
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
 OWNERS = [projda, models, simulate, numerics, filters, reduction, reduced_model,
-          ObservationOperator, ReductionBasis, ReducedModel, ParticleEnsemble]
+          experiments, ObservationOperator, ReductionBasis, ReducedModel,
+          ParticleEnsemble]
 # Names gone from one owner that keeps its other members: is_identity stays on
 # ReductionBasis, time_dependent was an attribute of every built basis, and
 # L96Spec.rhs served only step_rk4 (l96_rhs stays).
