@@ -18,10 +18,10 @@ import sys
 from .errors import ConfigError, ProjdaError, ReductionError
 from .experiments import load_config, replace, run_point, run_sweep, summarize
 from .experiments.sweep import write_summary_csv, write_trial_csv
-from .experiments.trial import _initial_state, _spin_up, training_trajectory
+from .experiments.trial import _initial_state, _spin_up, _state_basis, training_trajectory
 from .models import load_snapshots, save_snapshots
 from .numerics import RngStream
-from .reduction import dmd, dmd_basis, kaplan_yorke, lyapunov_spectrum, pod_basis, save_basis
+from .reduction import kaplan_yorke, lyapunov_spectrum, save_basis
 
 logger = logging.getLogger("projda.cli")
 
@@ -43,14 +43,10 @@ def _cmd_reduce(args, config):
     rank = args.r if args.r is not None else config.r_p
     snapshot_file = config.snapshot_file or "truth.bin"
     snapshots, sidecar = load_snapshots(snapshot_file)
-    if kind == "pod":
-        basis = pod_basis(snapshots.T, rank)
-        parameters = {"rank": rank}
-    else:
-        dt = float(sidecar.get("dt", 1.0))
-        result = dmd(snapshots.T, rank=config.dmd_rank or None, dt=dt)
-        basis = dmd_basis(result, rank)
-        parameters = {"rank": rank, "svd_rank": config.dmd_rank or 0, "dt": dt}
+    parameters = {"rank": rank}
+    if kind == "dmd":
+        parameters.update(svd_rank=config.dmd_rank or 0, dt=float(sidecar.get("dt", 1.0)))
+    basis = _state_basis(kind, snapshots, rank, config.dmd_rank, parameters.get("dt"))
     save_basis(args.out, basis, source_snapshot_file=snapshot_file,
                parameters=parameters)
     print(f"wrote a {basis.state_dim}x{basis.rank} {kind} basis to {args.out}")

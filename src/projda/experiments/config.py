@@ -154,10 +154,14 @@ class ExperimentConfig:
             raise bad("noise", "q_scale", "optimal-proposal filters need nonzero model noise")
         if self.r_scale == 0:
             raise bad("noise", "r_scale", "observation noise must be positive")
+        # a swept rank is never run at its base value, so no check reads it;
+        # sweep_points checks each point on its own
+        r_p = None if self.sweep_r_p else self.r_p
+        r_d = None if self.sweep_r_d else self.r_d
         if not self.uses_identity_reduction:
-            if self.r_p < 1 or self.r_d < 1:
+            if any(k is not None and k < 1 for k in (r_p, r_d)):
                 raise bad("reduction", "r_p/r_d", "must be positive")
-            if self.data_reduction == "model" and self.r_d > self.r_p:
+            if self.data_reduction == "model" and None not in (r_p, r_d) and r_d > r_p:
                 raise bad("reduction", "r_d", "model-based data reduction needs r_d <= r_p")
             if self.reduction_kind == "aus":
                 if self.data_reduction != "model":
@@ -194,36 +198,42 @@ class ExperimentConfig:
             raise bad("experiment", "lyapunov_qr_interval", "must be positive")
         if not self.lyapunov_eps > 0:
             raise bad("experiment", "lyapunov_eps", "must be positive")
-        # constructing the component objects surfaces their own errors early
-        try:
-            model = self.build_model()
-            h = self.build_observation(model)
-            self.filter_config()
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(str(exc)) from exc
-        # a swept rank is never run at its base value; each sweep point is
-        # checked on its own when sweep_points builds it
+        # constructing the component objects surfaces their own range errors
+        model = _component("model", self.build_model)
+        h = _component("observation", self.build_observation, model)
+        _component("filter", self.filter_config)
         if not self.uses_identity_reduction:
-            if self.r_p > model.dimension and not self.sweep_r_p:
+            if r_p is not None and r_p > model.dimension:
                 raise bad("reduction", "r_p",
                           f"{self.r_p} exceeds the state dimension {model.dimension}")
-            if (self.data_reduction == "data" and self.r_d > h.data_dim
-                    and not (self.sweep_r_d or self.sweep_scenario)):
+            if (self.data_reduction == "data" and r_d is not None and r_d > h.data_dim
+                    and not self.sweep_scenario):
                 raise bad("reduction", "r_d",
                           f"data-based reduction needs r_d <= the {h.data_dim} observed "
                           f"components, got {self.r_d}")
         return self
 
 
+def _component(section: str, build, *args):
+    """build(*args), a ValueError it raises as a ConfigError naming section."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def _snapshots_needed(config: ExperimentConfig) -> int:
     """The fewest snapshots a trial of config trains its bases on: max(r_p, 3)
     for a POD or DMD state basis not read from a file, r_d for a data-based
-    data basis, the larger where it trains both; 0 where it trains on none."""
+    data basis, the larger where it trains both; 0 where it trains on none.
+    A swept rank counts as 1, as its base value is never run."""
     if config.uses_identity_reduction:
         return 0
     trains_u = config.reduction_kind in ("pod", "dmd") and not config.basis_file
-    return max(max(config.r_p, 3) if trains_u else 0,
-               config.r_d if config.data_reduction == "data" else 0)
+    r_p = 1 if config.sweep_r_p else config.r_p
+    r_d = 1 if config.sweep_r_d else config.r_d
+    return max(max(r_p, 3) if trains_u else 0,
+               r_d if config.data_reduction == "data" else 0)
 
 
 # The dataclass defaults are the Lorenz-96 ones; the shallow-water model

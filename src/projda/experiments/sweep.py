@@ -58,6 +58,13 @@ class SummaryRow:
     failed_trials: int
 
 
+def _point(config: ExperimentConfig, **values) -> ExperimentConfig:
+    """config at one point: values set, the sweep axes cleared, and validated
+    as the point it is."""
+    return replace(config, **values, sweep_scenario=(), sweep_forcing=(),
+                   sweep_q_scale=(), sweep_r_p=(), sweep_r_d=())
+
+
 def sweep_points(config: ExperimentConfig) -> list[ExperimentConfig]:
     """Expand the sweep axes; an axis left empty stays at its config value."""
     points = []
@@ -66,12 +73,8 @@ def sweep_points(config: ExperimentConfig) -> list[ExperimentConfig]:
             for q_scale in config.sweep_q_scale or (config.q_scale,):
                 for r_p in config.sweep_r_p or (config.r_p,):
                     for r_d in config.sweep_r_d or (config.r_d,):
-                        points.append(replace(
-                            config, scenario=scenario, forcing=forcing,
-                            q_scale=q_scale, r_p=r_p, r_d=r_d,
-                            sweep_scenario=(), sweep_forcing=(),
-                            sweep_q_scale=(), sweep_r_p=(), sweep_r_d=(),
-                        ))
+                        points.append(_point(config, scenario=scenario, forcing=forcing,
+                                             q_scale=q_scale, r_p=r_p, r_d=r_d))
     return points
 
 
@@ -91,8 +94,9 @@ def _run_chunk(chunk, memo: TrialMemo | None = None) -> list:
 
 
 def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
-    """All trials of a single configuration, in trial order."""
-    return _run_points([config], config.trials, jobs)[0]
+    """All trials of a single configuration, in trial order. The sweep axes
+    play no part: the config runs at its base values, which must be valid."""
+    return _run_points([_point(config)], config.trials, jobs)[0]
 
 
 # (prefix, suffix) of the thread-count entry points: numpy's 64-bit-integer

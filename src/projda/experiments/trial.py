@@ -46,7 +46,6 @@ from ..reduction import (
     pod_basis,
 )
 from ..reduction.aus import tangent_block
-from ..reduction.pod import pod_leading
 from ..reduction.reduced_model import conjugate_noise, forecast_columns
 from .config import ExperimentConfig, _snapshots_needed
 from .metrics import MetricsRecord, rmse, rmse_projected
@@ -68,7 +67,8 @@ def _file_inputs(config: ExperimentConfig, dimension: int, files: dict) -> tuple
     files keeps what each file held, so that a process reads each file once.
     Raises ReductionError naming the file when it cannot be read, holds
     states of another dimension, or has fewer snapshots than the bases it
-    trains need or fewer than r_p basis columns."""
+    trains need, fewer than r_p basis columns, or, for a DMD basis, which a
+    trial uses whole, more than r_p + 1."""
     snapshots = basis = None
     need = _snapshots_needed(config)
     if config.snapshot_file and need:
@@ -95,6 +95,11 @@ def _file_inputs(config: ExperimentConfig, dimension: int, files: dict) -> tuple
             raise ReductionError(
                 f"basis file {config.basis_file} holds {basis.rank} columns, "
                 f"need {config.r_p}"
+            )
+        if basis.kind == "dmd" and basis.rank > config.r_p + 1:
+            raise ReductionError(
+                f"basis file {config.basis_file} holds {basis.rank} dmd columns, "
+                f"need {config.r_p} or {config.r_p + 1} (a dmd basis is used whole)"
             )
     return snapshots, basis
 
@@ -188,26 +193,25 @@ def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
 @dataclass
 class TrialMemo:
     """What the trials of one process share: deterministic walks (spin_ups,
-    see _shared_spin_up), input files by path (files, see _file_inputs), POD
-    modes by snapshot set while a group sets up (pods, see pod), and a
-    lockstep group, the (config, trial_index) pairs registered to run
+    see _shared_spin_up), input files by path (files, see _file_inputs), and
+    a lockstep group, the (config, trial_index) pairs registered to run
     together (group) with the records it finished ahead of their run_trial
     calls (records)."""
 
     spin_ups: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)
-    pods: dict = field(default_factory=dict)
     group: list = field(default_factory=list)
     records: dict = field(default_factory=dict)
 
-    def pod(self, snapshots: np.ndarray, r: int, h=None) -> ReductionBasis:
-        """pod_basis of the snapshot rows (their observed parts, under h) to
-        rank r, one SVD per set; the memo keeps them, so their id names them."""
-        key = (id(snapshots), None if h is None else h.indices.tobytes())
-        if key not in self.pods:
-            x = snapshots if h is None else h.apply(snapshots)
-            self.pods[key] = (snapshots, pod_basis(x.T))
-        return pod_leading(self.pods[key][1], r)
+
+def _state_basis(kind: str, snapshots: np.ndarray, r: int, dmd_rank: int,
+                 dt: float | None) -> ReductionBasis:
+    """The pod or dmd state basis of rank r trained on the snapshot rows, dt
+    apart (DMD alone reads it); dmd_rank 0 lets DMD pick its rank from the
+    data. A trial and `projda reduce` both train through it."""
+    if kind == "pod":
+        return pod_basis(snapshots.T, r)
+    return dmd_basis(dmd(snapshots.T, rank=dmd_rank or None, dt=dt), r)
 
 
 def _bases(config: ExperimentConfig, model, h, q, r, snapshots, anchors,
@@ -224,21 +228,20 @@ def _bases(config: ExperimentConfig, model, h, q, r, snapshots, anchors,
     if file_snapshots is not None:
         snapshots = file_snapshots
     kind = config.reduction_kind
-    if u_file is not None:
-        u = u_file.leading(config.r_p)
-    elif kind == "pod":
-        u = memo.pod(snapshots, config.r_p)
-    elif kind == "dmd":
-        result = dmd(snapshots.T, rank=config.dmd_rank or None,
-                     dt=model.dt * config.training_stride)
-        u = dmd_basis(result, config.r_p)
-    else:
+    if kind == "aus":
         return _spin_up_aus(config, model, anchors, rng), None
+    if u_file is None:
+        u = _state_basis(kind, snapshots, config.r_p, config.dmd_rank,
+                         model.dt * config.training_stride)
+    elif u_file.kind == "dmd":
+        u = u_file  # its leading columns are not the lower-rank DMD basis
+    else:
+        u = u_file.leading(config.r_p)
 
     if config.data_reduction == "model":
         v = u.leading(config.r_d)
     else:
-        v = memo.pod(snapshots, config.r_d, h)
+        v = pod_basis(h.apply(snapshots).T, config.r_d)
     return u, build_reduced_model(model, h, q, r, u, v, kind=config.data_reduction)
 
 
@@ -415,7 +418,6 @@ def _run_lockstep(keys: list, memo: TrialMemo) -> list[MetricsRecord]:
     """The records of the trials (config, trial_index) in keys, run together
     cycle by cycle, one model.cycle_map per model and cycle."""
     trials = [_Trial(config, t, memo) for config, t in keys]
-    memo.pods.clear()  # every point has its basis; the modes would only take memory
     live = [trial for trial in trials if trial.live]
     while live:
         by_model: dict = {}

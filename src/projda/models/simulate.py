@@ -16,16 +16,20 @@ from ..errors import ReductionError
 
 def save_snapshots(path: str, states: np.ndarray, meta: dict):
     """Write states row-by-row as little-endian float64 plus a JSON sidecar."""
-    states = np.ascontiguousarray(states, dtype="<f8")
-    states.tofile(path)
-    sidecar = {
+    write_raw_file(path, states, {
         "model": meta["model"],
         "M": int(states.shape[1]),
         "n_steps": int(states.shape[0] - 1),
         "dt": float(meta["dt"]),
         "seed": meta.get("seed"),
         "noise_on": bool(meta.get("noise_on", False)),
-    }
+    })
+
+
+def write_raw_file(path: str, values: np.ndarray, sidecar: dict):
+    """Write values as little-endian float64 in C order, and sidecar as
+    indented JSON to path + ".json"."""
+    np.ascontiguousarray(values, dtype="<f8").tofile(path)
     with open(path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")

@@ -6,12 +6,10 @@ JSON sidecar {kind, M, r, source_snapshot_file, parameters}.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from ..errors import ReductionError
-from ..models.simulate import read_raw_file
+from ..models.simulate import read_raw_file, write_raw_file
 
 
 class ReductionBasis:
@@ -102,19 +100,14 @@ def identity_basis(dim: int) -> ReductionBasis:
 
 def save_basis(path: str, basis: ReductionBasis, source_snapshot_file: str = "",
                parameters: dict | None = None):
-    cols = np.asarray(basis.columns, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(cols.tobytes(order="F"))
-    sidecar = {
+    # the columns in Fortran order are the rows of their transpose
+    write_raw_file(path, basis.columns.T, {
         "kind": basis.kind,
         "M": basis.state_dim,
         "r": basis.rank,
         "source_snapshot_file": source_snapshot_file,
         "parameters": parameters or {},
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def load_basis(path: str) -> ReductionBasis:

@@ -85,7 +85,7 @@ class ReducedModel:
 
         # reduced data operator H^q (r_d x r_p)
         if data_kind == "data":
-            self.h_q = data_basis.reduce(self.hu.T).T if not data_basis.is_identity else self.hu.copy()
+            self.h_q = data_basis.reduce(self.hu.T).T
             self._hv = None
         else:
             # H V: row subsample of V, used for y_hat = (HV)^T y, H^q and R^q;
@@ -209,7 +209,7 @@ class OptimalProposal:
             raise NumericsError("optimal proposal requires a nonzero model noise Q")
         if r.is_zero:
             raise NumericsError("optimal proposal requires a nonzero observation noise R")
-        self._rinv_hu = r.solve(hu.T).T if not r.is_scalar else hu / r.scale
+        self._rinv_hu = r.solve(hu.T).T
         self._inv_chol = self._inv_sqrt_a = None
         if reduced.basis_out.is_identity and q_q.is_scalar and r.is_scalar:
             # the diagonal of I/q + H^T H/r, summed as the dense route sums it
@@ -217,11 +217,7 @@ class OptimalProposal:
             a[reduced.h.indices] += 1.0 / r.scale
             self._inv_sqrt_a = 1.0 / np.sqrt(a)
             return
-        if q_q.is_scalar:
-            a = np.eye(reduced.reduced_dim) / q_q.scale
-        else:
-            a = q_q.solve(np.eye(reduced.reduced_dim))
-        a = a + hu.T @ self._rinv_hu
+        a = q_q.solve(np.eye(reduced.reduced_dim)) + hu.T @ self._rinv_hu
         self._inv_chol = _inverse_cholesky(a, "proposal precision Q_p^{-1} is singular")[1]
 
     def mean_shift(self, resid_rows: np.ndarray) -> np.ndarray:
@@ -237,12 +233,6 @@ class OptimalProposal:
         if self._inv_chol is None:
             return xi_rows * self._inv_sqrt_a
         return _check_finite(xi_rows, "proposal draw input") @ self._inv_chol
-
-    def covariance(self) -> np.ndarray:
-        """Dense Q_p, mainly for verification."""
-        if self._inv_chol is None:
-            return np.diag(self._inv_sqrt_a * self._inv_sqrt_a)
-        return self._inv_chol.T @ self._inv_chol
 
 
 def build_reduced_model(model, h: ObservationOperator, q: NoiseSpec, r: NoiseSpec,

@@ -357,7 +357,9 @@ def test_a9_filter_micro_oracles(capfd):
         reduced = identity_reduced_model(model, h, q, r)
         proposal = reduced.optimal_proposal()
         q_p = 1.0 / (1.0 / q_scale + 1.0 / r_scale)
-        checks.append(np.max(np.abs(proposal.covariance() - q_p * np.eye(6))) <= 1e-12)
+        # Q_p as the Gram matrix of the proposal's factor
+        delta = proposal.sample_delta(np.eye(6))
+        checks.append(np.max(np.abs(delta.T @ delta - q_p * np.eye(6))) <= 1e-12)
         checks.append(np.max(np.abs(reduced.zq_matrix()
                                     - (q_scale + r_scale) * np.eye(6))) <= 1e-12)
         # mean shift on a residual row: resid * q / (q + r)

@@ -534,53 +534,6 @@ class TestSpinUpSharing:
                 arr[0] = 0.0
 
 
-class TestPodSharing:
-    def test_sweep_takes_one_svd_per_snapshot_set(self, monkeypatch):
-        calls = []
-        original = trial_module.pod_basis
-
-        def counted(x, *args):
-            calls.append(args)
-            return original(x, *args)
-
-        monkeypatch.setattr(trial_module, "pod_basis", counted)
-        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", data_reduction="data",
-                    sweep_r_p=(2, 3, 4))
-        rows = run_sweep(cfg, jobs=1)
-        # 3 points x 2 trials: each trial's states and their observed parts
-        # are decomposed once, and every point takes its leading columns
-        assert calls == [()] * 4
-        assert [row.failed_trials for row in rows] == [0, 0, 0]
-
-    def test_leading_columns_are_those_of_the_svd(self):
-        cfg = _tiny(reduction_kind="pod")
-        states, _ = training_trajectory(cfg)
-        h = cfg.build_observation(cfg.build_model())
-        memo = trial_module.TrialMemo()
-        for x, under in ((states, None), (h.apply(states), h)):
-            u = np.linalg.svd(x.T, full_matrices=False)[0]
-            for r in range(1, x.shape[1] + 1):
-                got = memo.pod(states, r, under).columns
-                assert got.flags.c_contiguous and np.array_equal(got, u[:, :r])
-        assert len(memo.pods) == 2
-
-    def test_modes_are_dropped_once_the_group_is_set_up(self):
-        # a 3,072-variable model's modes would hold memory for the whole run
-        memo = trial_module.TrialMemo()
-        run_trial(_tiny(filter_kind="projoppf", reduction_kind="pod",
-                        data_reduction="data"), 0, memo)
-        assert memo.pods == {}
-
-    def test_rank_above_the_numerical_rank_fails_each_point(self):
-        memo = trial_module.TrialMemo()
-        states = np.outer([1.0, 2.0, 3.0], np.arange(1.0, 6.0))  # rank 1 in R^5
-        assert memo.pod(states, 1).rank == 1
-        for _ in range(2):
-            with pytest.raises(ReductionError, match="exceeds the numerical rank 1"):
-                memo.pod(states, 2)
-        assert len(memo.pods) == 1
-
-
 class TestCsvWriters:
     def test_trial_csv_layout(self, tmp_path):
         rec = MetricsRecord(trial=3, rmse=np.array([1.5, 2.5]),

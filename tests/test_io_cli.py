@@ -80,6 +80,11 @@ def _three_column_basis(path):
     save_basis(path, ReductionBasis(np.eye(8)[:, :3], kind="pod"))
 
 
+def _six_column_dmd_basis(path):
+    # a dmd basis is used whole: more than r_p + 1 = 5 (and 3 at r_p = 2) columns
+    save_basis(path, ReductionBasis(np.eye(8)[:, :6], kind="dmd"))
+
+
 def _drop_m(path):
     sidecar = json.loads(Path(path + ".json").read_text())
     del sidecar["M"]
@@ -159,7 +164,8 @@ class TestMalformedFiles:
         (lambda path: None, "error: basis sidecar"),
         (_truncated_basis, "error: basis file"),
         (_three_column_basis, "error: basis file"),
-    ], ids=["missing", "truncated", "too-few-columns"])
+        (_six_column_dmd_basis, "error: basis file"),
+    ], ids=["missing", "truncated", "too-few-columns", "too-many-dmd-columns"])
     def test_bad_basis_file_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                      argv, make, start):
         basis = str(tmp_path / "basis.bin")
@@ -292,7 +298,11 @@ class TestCliAssimilate:
         write_trial_csv(mine, run_point(cfg), cfg.build_model().cycle_dt)
         assert Path(out).read_bytes() == Path(mine).read_bytes()
 
-    def test_pipeline_files_equal_in_trial_run(self, tmp_path, capsys):
+    # on this config's snapshots, a dmd basis of rank 3 takes 4 columns so as
+    # not to split a conjugate pair, and one of rank 4 takes 4
+    @pytest.mark.parametrize("kind, rank", [("pod", "4"), ("dmd", "3"), ("dmd", "4")],
+                             ids=["pod", "dmd-pair-split", "dmd"])
+    def test_pipeline_files_equal_in_trial_run(self, tmp_path, capsys, kind, rank):
         # truth -> reduce -> assimilate through files, against one self-
         # contained run that regenerates the training data and basis itself.
         # One trial: the staged basis comes from trial 0's training segment,
@@ -303,13 +313,14 @@ class TestCliAssimilate:
                             reduction_extra=f"snapshot_file = {snap}\n"
                                             f"basis_file = {basis}\n")
         direct = _write_ini(tmp_path, name="direct.ini", trials=1)
+        ranks = ["--kind", kind, "--r", rank]
         assert dispatch(["truth", "--config", staged, "--out", snap]) == 0
-        assert dispatch(["reduce", "--config", staged, "--out", basis]) == 0
+        assert dispatch(["reduce", "--config", staged, "--out", basis] + ranks) == 0
         m_staged = str(tmp_path / "staged.csv")
         m_direct = str(tmp_path / "direct.csv")
-        assert dispatch(["assimilate", "--config", staged, "--out", m_staged]) == 0
-        assert dispatch(["assimilate", "--config", direct, "--out", m_direct]) == 0
-        capsys.readouterr()
+        assert dispatch(["assimilate", "--config", staged, "--out", m_staged] + ranks) == 0
+        assert dispatch(["assimilate", "--config", direct, "--out", m_direct] + ranks) == 0
+        assert "wrote a 8x4 " in capsys.readouterr().out
         assert Path(m_staged).read_bytes() == Path(m_direct).read_bytes()
 
     def test_seed_override_is_deterministic(self, tmp_path, capsys):
@@ -347,11 +358,14 @@ class TestCliSweep:
     @pytest.mark.parametrize("reduction_extra, experiment_extra, rank", [
         ("", "sweep_r_p = 4, 6\n", ["--r", "9"]),
         ("data_reduction = data\n", "sweep_r_d = 2, 3\n", ["--rd", "9"]),
-    ], ids=["r_p", "r_d"])
+        ("", "sweep_r_p = 4, 6\n", ["--r", "10"]),
+        ("", "sweep_r_p = 4, 6\n", ["--r", "1"]),
+    ], ids=["r_p", "r_d", "r_p-training-window", "r_p-below-r_d"])
     def test_swept_rank_ignores_an_out_of_range_base_value(
             self, tmp_path, capsys, reduction_extra, experiment_extra, rank):
-        # the base rank exceeds the 8 states (or 8 observed components), but a
-        # sweep runs only its own values
+        # the base rank exceeds the 8 states (or 8 observed components), the
+        # 9 training snapshots, or falls below r_d = 2, but a sweep runs only
+        # its own values
         ini = _write_ini(tmp_path, trials=1, reduction_extra=reduction_extra,
                          experiment_extra=experiment_extra)
         out = str(tmp_path / "summary.csv")
@@ -403,8 +417,11 @@ class TestCliErrors:
         ("[reduction] r_p", "", "sweep_r_p = 4, 9\n", ["sweep"]),
         ("[reduction] r_d", "data_reduction = data\n", "", ["assimilate", "--rd", "9"]),
         ("[reduction] r_d", "data_reduction = data\n", "sweep_r_d = 2, 9\n", ["sweep"]),
+        # assimilate runs the base rank, which a sweep never runs
+        ("[reduction] r_p", "", "sweep_r_p = 2, 4\n", ["assimilate", "--r", "9"]),
     ], ids=["aus_eps", "aus_spinup", "dmd_rank", "lyapunov_qr_interval", "lyapunov_eps",
-            "r_p_assimilate", "r_p_sweep", "r_d_assimilate", "r_d_sweep"])
+            "r_p_assimilate", "r_p_sweep", "r_d_assimilate", "r_d_sweep",
+            "r_p_assimilate_swept"])
     def test_out_of_range_key_exits_2_with_one_line(self, tmp_path, capsys, key,
                                                     reduction_extra, experiment_extra,
                                                     argv):
@@ -414,6 +431,18 @@ class TestCliErrors:
         assert dispatch(argv + ["--config", ini, "--out", out]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
+
+    @pytest.mark.parametrize("section, body", [
+        ("filter", "[filter]\ness_threshold = 2\n"),
+        ("model", "[model]\ndimension = 3\n"),
+        ("model", "[model]\nkind = swe\nnx = 3\n"),
+    ], ids=["ess_threshold", "l96-dimension", "swe-grid"])
+    def test_component_range_error_names_its_section(self, tmp_path, capsys, section, body):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(body)
+        assert dispatch(["assimilate", "--config", str(ini)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: [{section}] "), lines
 
     def test_percent_in_value_reaches_the_missing_file(self, tmp_path, capsys,
                                                        monkeypatch):

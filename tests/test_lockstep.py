@@ -161,7 +161,7 @@ class ReductionDriver:
         if u_file is not None:
             u = u_file.leading(config.r_p)
         elif kind == "pod":
-            u = memo.pod(snapshots, config.r_p)
+            u = pod_basis(snapshots.T, config.r_p)
         elif kind == "dmd":
             result = dmd(snapshots.T, rank=config.dmd_rank or None,
                          dt=model.dt * config.training_stride)
@@ -173,7 +173,7 @@ class ReductionDriver:
         if config.data_reduction == "model":
             v = u.leading(config.r_d)
         else:
-            v = memo.pod(snapshots, config.r_d, h)
+            v = pod_basis(h.apply(snapshots).T, config.r_d)
         self.u = u
         if self.time_dependent:
             self.reduced = None

@@ -23,24 +23,33 @@ import projda
 from projda import experiments, filters, models, numerics, reduction
 from projda.filters import ParticleEnsemble
 from projda.models import L96Spec, ObservationOperator, simulate
-from projda.reduction import ReducedModel, ReductionBasis, identity_basis, reduced_model
+from projda.reduction import (
+    OptimalProposal,
+    ReducedModel,
+    ReductionBasis,
+    identity_basis,
+    pod,
+    reduced_model,
+)
 
 REMOVED = [
     "svd", "eig_general", "pseudoinverse", "sample_gaussian",
     "matrix", "pinv_matrix", "project",
     "standard_pf_step", "oppf_step", "projected_resample_noise",
     "smoothed_noise_rows", "simulate_truth", "run_deterministic",
-    "step_rk4", "ReductionDriver",
+    "step_rk4", "ReductionDriver", "pod_leading",
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
-OWNERS = [projda, models, simulate, numerics, filters, reduction, reduced_model,
+OWNERS = [projda, models, simulate, numerics, filters, reduction, reduced_model, pod,
           experiments, ObservationOperator, ReductionBasis, ReducedModel,
           ParticleEnsemble]
 # Names gone from one owner that keeps its other members: is_identity stays on
-# ReductionBasis, time_dependent was an attribute of every built basis, and
-# L96Spec.rhs served only step_rk4 (l96_rhs stays).
+# ReductionBasis, time_dependent was an attribute of every built basis,
+# L96Spec.rhs served only step_rk4 (l96_rhs stays), and only tests read
+# OptimalProposal.covariance (Q_p is the Gram matrix of sample_delta's factor).
 REMOVED_MEMBERS = [
     (L96Spec, "rhs"),
+    (OptimalProposal, "covariance"),
     (ObservationOperator, "every_kth"),
     (ObservationOperator, "identity"),
     (ObservationOperator, "is_identity"),
@@ -62,6 +71,12 @@ def test_removed_helper_stays_gone(name):
     for owner, name in REMOVED_MEMBERS])
 def test_removed_member_stays_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_pod_basis_takes_a_rank():
+    # without one it returned every mode, for a memo that took leading columns
+    with pytest.raises(TypeError):
+        reduction.pod_basis(np.eye(3))
 
 
 def _run_python(code: str, cwd=None) -> subprocess.CompletedProcess:

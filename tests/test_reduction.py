@@ -458,6 +458,13 @@ class TestReducedModel:
             red.weight_quad(np.ones((1, red.data_basis.rank)))
 
 
+def _proposal_covariance(prop, n):
+    """Q_p as the Gram matrix of the proposal's factor L^{-T}: the draws
+    sample_delta makes from the n standard basis rows."""
+    delta = prop.sample_delta(np.eye(n))
+    return delta.T @ delta
+
+
 class TestOptimalProposal:
     def test_scalar_closed_forms(self):
         # H = I, U = V = I: Q_p = (1/q + 1/r)^{-1} I and Z = (q + r) I
@@ -467,8 +474,8 @@ class TestOptimalProposal:
         red = identity_reduced_model(model, h, NoiseSpec.scaled_identity(5, qs),
                                      NoiseSpec.scaled_identity(5, rs))
         prop = red.optimal_proposal()
-        np.testing.assert_allclose(prop.covariance(), (1 / qs + 1 / rs) ** -1 * np.eye(5),
-                                   atol=1e-14)
+        np.testing.assert_allclose(_proposal_covariance(prop, 5),
+                                   (1 / qs + 1 / rs) ** -1 * np.eye(5), atol=1e-14)
         np.testing.assert_allclose(red.zq_matrix(), (qs + rs) * np.eye(5), atol=1e-14)
 
     def test_scalar_mean_shift(self):
@@ -484,11 +491,11 @@ class TestOptimalProposal:
 
     def test_sample_delta_has_proposal_covariance(self):
         model, h, q, r, red = _small_setup()
-        prop = red.optimal_proposal()
-        n = red.reduced_dim
         # push the standard basis through: columns of L^{-T} have cov Q_p
-        delta = prop.sample_delta(np.eye(n))
-        np.testing.assert_allclose(delta.T @ delta, prop.covariance(), atol=1e-12)
+        hu = red.hu
+        qp = np.linalg.inv(np.eye(red.reduced_dim) / red.q_q.scale + hu.T @ hu / r.scale)
+        np.testing.assert_allclose(_proposal_covariance(red.optimal_proposal(),
+                                                        red.reduced_dim), qp, atol=1e-12)
 
     def test_general_case_matches_dense_algebra(self):
         model, h, q, r, red = _small_setup(kind="model", q_scale=0.3, r_scale=0.05)
@@ -498,7 +505,8 @@ class TestOptimalProposal:
         qinv = np.linalg.inv(red.q_q.cov_matrix())
         rinv = np.linalg.inv(r.cov_matrix())
         qp = np.linalg.inv(qinv + hu.T @ rinv @ hu)
-        np.testing.assert_allclose(prop.covariance(), qp, atol=1e-12)
+        np.testing.assert_allclose(_proposal_covariance(prop, red.reduced_dim), qp,
+                                   atol=1e-12)
         resid = np.random.default_rng(8).standard_normal((3, h.data_dim))
         np.testing.assert_allclose(prop.mean_shift(resid), resid @ (qp @ hu.T @ rinv).T,
                                    atol=1e-12)
@@ -532,7 +540,8 @@ class TestOptimalProposal:
         assert not red.q_q.is_scalar
         hu = red.hu
         qp = np.linalg.inv(np.linalg.inv(red.q_q.cov_matrix()) + hu.T @ hu / r.scale)
-        np.testing.assert_allclose(red.optimal_proposal().covariance(), qp, atol=1e-12)
+        np.testing.assert_allclose(_proposal_covariance(red.optimal_proposal(), 4), qp,
+                                   atol=1e-12)
 
     def test_zero_observation_noise_rejected(self):
         model = L96Spec(dimension=4)
