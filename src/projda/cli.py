@@ -45,7 +45,7 @@ def _cmd_reduce(args, config):
     snapshots, sidecar = load_snapshots(snapshot_file)
     parameters = {"rank": rank}
     if kind == "dmd":
-        parameters.update(svd_rank=config.dmd_rank or 0, dt=float(sidecar.get("dt", 1.0)))
+        parameters.update(svd_rank=config.dmd_rank or 0, dt=sidecar.get("dt", 1.0))
     basis = _state_basis(kind, snapshots, rank, config.dmd_rank, parameters.get("dt"))
     save_basis(args.out, basis, source_snapshot_file=snapshot_file,
                parameters=parameters)

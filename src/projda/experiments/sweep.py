@@ -5,24 +5,31 @@ scenario outermost, then forcing, Q scale, r_p, and r_d innermost. Results
 are keyed by (point, trial), so the summary is identical for any worker
 count.
 
-Worker processes share the machine's cores. Unless the user chose a thread
-count through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, each worker caps every
-OpenBLAS library it has loaded at its share of the usable CPUs, so the
-workers' multi-threaded matrix products and SVDs do not oversubscribe the
-cores. projda itself loads only numpy's; a library caller may also have
-scipy's, which is capped as well. The results do not depend on the thread
-count; the sweep tests check this at shapes where OpenBLAS runs threaded.
+A sweep of N jobs runs in the calling process and N - 1 pool workers (fewer
+when there are fewer tasks): the caller is one of the workers, not a process
+that waits for them. The workers share the machine's cores. Unless the user
+chose a thread count through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, each
+worker, the caller included, caps every OpenBLAS library it has loaded at its
+share of the usable CPUs, so the workers' multi-threaded matrix products and
+SVDs do not oversubscribe the cores; the caller gets its own count back when
+the pool is done. projda itself loads only numpy's OpenBLAS; a library caller
+may also have scipy's, which is capped as well. The results do not depend on
+the thread count; the sweep tests check this at shapes where OpenBLAS runs
+threaded.
 
 The tasks go out in chunks, and the (point, trial) tasks of a chunk run as
 one lockstep group (see trial.py): each cycle maps the states of all of them
 through one model call. Within one process, trials that start from the same
 state with the same spin-up inputs (the same trial at different r_p or r_d,
 say) walk the truth once, the first walk being kept for the rest of the
-sweep, and each input file is read once. Under several workers a sweep hands
-out whole trials (all points of one trial: one walk, one group) as long as
-every worker gets one; only the trials left over from an even share are split
-point by point among the workers, so that no worker idles while another runs
-a trial alone. The results never depend on it.
+sweep. Each input file is read once: the caller reads them all before any
+trial, and pool workers start from what it read. Under several workers a
+sweep hands out whole trials (all points of one trial: one walk, one group)
+as long as every worker gets one; only the trials left over from an even
+share are split point by point among the workers, so that no worker idles
+while another runs a trial alone. Of the chunks, the caller runs the first
+and every P-th after it, P being the process count, and the pool the
+others. The results never depend on it.
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ import ctypes
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -149,37 +158,63 @@ def _pool_shape(jobs: int, n_tasks: int) -> tuple[int, int | None]:
     return workers, max(1, _usable_cpus() // workers)
 
 
-def _limit_blas_threads(n_threads: int):
-    for set_threads in _openblas_entry_points("set"):
+def _set_blas_threads(counts):
+    """Set each OpenBLAS of this process to its count in counts, in the order
+    _openblas_entry_points lists them."""
+    for set_threads, n_threads in zip(_openblas_entry_points("set"), counts):
         set_threads.argtypes = [ctypes.c_int]
         set_threads.restype = None
         set_threads(n_threads)
 
 
-def _init_worker(blas_threads: int | None):
+@contextmanager
+def _blas_threads_capped(n_threads: int | None):
+    """Every OpenBLAS of this process at n_threads for the block, then back at
+    its own count; None leaves the libraries alone."""
+    if n_threads is None:
+        yield
+        return
+    before = [get() for get in _openblas_entry_points("get")]
+    _set_blas_threads(repeat(n_threads))
+    try:
+        yield
+    finally:
+        _set_blas_threads(before)
+
+
+def _init_worker(blas_threads: int | None, files: dict):
     global _worker_memo
-    _worker_memo = TrialMemo()
+    _worker_memo = TrialMemo(files=files)
     if blas_threads is not None:
-        _limit_blas_threads(blas_threads)
+        _set_blas_threads(repeat(blas_threads))
 
 
 def _execute(chunks, workers: int, blas_threads: int | None,
              memo: TrialMemo | None = None) -> dict:
-    """Run lists of (point, trial, config) tasks, each list a lockstep group;
-    a pool worker takes one list at a time. memo is the serial path's."""
-    results = {}
-    if workers == 1:
-        memo = TrialMemo() if memo is None else memo
-        for chunk in chunks:
-            for p, t, rec in _run_chunk(chunk, memo):
-                results[(p, t)] = rec
-        return results
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(blas_threads,)) as pool:
-        for done in pool.map(_run_chunk, chunks):
-            for p, t, rec in done:
-                results[(p, t)] = rec
-    return results
+    """Run lists of (point, trial, config) tasks, each list a lockstep group,
+    in this process and workers - 1 pool workers, each of them at
+    blas_threads BLAS threads while the pool runs (see _pool_shape). This
+    process runs every workers-th list, the first included, with memo (a new
+    one by default); a pool worker takes one of the other lists at a time and
+    starts from the files memo holds. With one worker there is no pool."""
+    memo = TrialMemo() if memo is None else memo
+    theirs = [chunk for i, chunk in enumerate(chunks) if i % workers]
+    pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_init_worker,
+                               initargs=(blas_threads, memo.files)) if theirs else None
+    done = []
+    try:
+        # the first submission forks the workers, before this process grows
+        # with its own share
+        futures = [pool.submit(_run_chunk, chunk) for chunk in theirs]
+        with _blas_threads_capped(blas_threads):
+            for chunk in chunks[::workers]:
+                done += _run_chunk(chunk, memo)
+            for future in futures:
+                done += future.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return {(p, t): rec for p, t, rec in done}
 
 
 def _trial_chunks(n_points: int, n_trials: int, workers: int) -> list[list[tuple]]:
@@ -216,9 +251,9 @@ def summarize(config: ExperimentConfig, records: list[MetricsRecord]) -> Summary
 
 def _run_points(points: list[ExperimentConfig], trials: int, jobs: int) -> list[list]:
     """The records of trials 0 .. trials - 1 of each point, in trial order,
-    run by up to jobs worker processes. Every point's input files are read
-    first, so that a bad file stops the run with one ReductionError before
-    any trial; the serial path's trials reuse what was read."""
+    run by up to jobs processes, this one included. Every point's input files
+    are read first, so that a bad file stops the run with one ReductionError
+    before any trial; every process's trials reuse what was read."""
     workers, blas_threads = _pool_shape(jobs, len(points) * trials)
     memo = TrialMemo()
     for cfg in points:

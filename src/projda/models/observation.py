@@ -19,7 +19,9 @@ class ObservationOperator:
         idx = np.asarray(indices, dtype=int)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("observation indices must be a nonempty 1-d sequence")
-        if np.unique(idx).size != idx.size:
+        # sorted neighbours, not np.unique, which loads numpy.ma on first use
+        ordered = np.sort(idx)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("observation indices must be distinct")
         if idx.min() < 0 or idx.max() >= state_dim:
             raise ValueError(

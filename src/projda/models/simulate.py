@@ -8,6 +8,7 @@ with a JSON sidecar (same path + ".json") recording
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -67,8 +68,19 @@ def read_raw_file(path: str, what: str, dims: tuple[str, ...]):
 
 
 def load_snapshots(path: str):
-    """Read a snapshot file; returns (states, sidecar dict)."""
+    """Read a snapshot file; returns (states, sidecar dict). The sidecar's dt,
+    where it has one, is a positive finite float; raises ReductionError
+    naming the file when it is not."""
     raw, sidecar = read_raw_file(path, "snapshot", ("M",))
+    if "dt" in sidecar:
+        dt = sidecar["dt"]
+        if (isinstance(dt, bool) or not isinstance(dt, (int, float))
+                or not 0 < dt <= sys.float_info.max):
+            raise ReductionError(
+                f"snapshot sidecar {path}.json needs 'dt' as a positive finite "
+                f"number, found {dt!r}"
+            )
+        sidecar["dt"] = float(dt)
     m = sidecar["M"]
     if raw.size == 0 or raw.size % m != 0:
         raise ReductionError(

@@ -109,7 +109,9 @@ def dmd(snapshots: np.ndarray, rank: int | None = None, dt: float = 1.0) -> DmdR
     # amplitudes: least squares of x_t ~ sum_m v_m lambda_m^t b_m at 5 equally
     # spaced snapshot indices
     n_fit = min(5, n_snap)
-    fit_idx = np.unique(np.round(np.linspace(0, n_snap - 1, n_fit)).astype(int))
+    # ascending, so repeats are neighbours (np.unique would load numpy.ma)
+    fit_idx = np.round(np.linspace(0, n_snap - 1, n_fit)).astype(int)
+    fit_idx = fit_idx[np.r_[True, fit_idx[1:] != fit_idx[:-1]]]
     blocks = [modes * (eigvals[None, :] ** t) for t in fit_idx]
     lhs = np.vstack(blocks)
     rhs = x[:, fit_idx].T.reshape(-1)

@@ -8,6 +8,7 @@ or are regenerated.
 
 import dataclasses
 import functools
+import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -46,12 +47,13 @@ def _blas_threads():
     return [get() for get in sweep._openblas_entry_points("get")]
 
 
-def _report_blas_threads(chunk):
+def _report_blas_threads(chunk, memo=None):
     return [(p, t, _blas_threads()) for p, t, _ in chunk]
 
 
 def _worker_blas_threads(monkeypatch, jobs):
-    """Thread counts each OpenBLAS reports inside the sweep executor's workers."""
+    """Thread counts each OpenBLAS reports inside the sweep executor's workers,
+    the calling process among them."""
     monkeypatch.setattr(sweep, "_run_chunk", _report_blas_threads)
     chunks = [[(0, t, None)] for t in range(4 * jobs)]
     results = sweep._execute(chunks, *sweep._pool_shape(jobs, len(chunks)))
@@ -384,15 +386,16 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         # r_p, r_d and n_particles >= 8 put both sides of the filter's dense
         # products where OpenBLAS threads them: the serial run keeps the
-        # library's threads, each of the two workers gets its share
+        # library's threads, each of the two workers gets its share; with
+        # three jobs the caller runs alongside a pool of two
         cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", dimension=20,
                     n_particles=10, training_steps=100, r_p=8, r_d=8,
                     trials=3, sweep_r_p=(8, 10))
         serial = run_sweep(cfg, jobs=1)
-        parallel = run_sweep(cfg, jobs=2)
         assert len(serial) == 2
         # SummaryRow is frozen, so == compares every aggregate exactly
-        assert serial == parallel
+        assert run_sweep(cfg, jobs=2) == serial
+        assert run_sweep(cfg, jobs=3) == serial
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unconverged_svd_fails_trials_not_the_sweep(self, monkeypatch, jobs):
@@ -413,6 +416,21 @@ class TestSweep:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         jobs = cpus = sweep._usable_cpus()
         assert _worker_blas_threads(monkeypatch, jobs) == {cpus // jobs}
+
+    def test_caller_gets_its_blas_threads_back(self, monkeypatch):
+        if not sweep._openblas_entry_points("get"):
+            pytest.skip("no OpenBLAS loaded")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        own = _blas_threads()
+        # more threads than any worker's share, so that the cap shows
+        sweep._set_blas_threads(itertools.repeat(sweep._usable_cpus() + 1))
+        try:
+            before = _blas_threads()
+            run_sweep(_tiny(filter_kind="oppf", trials=2), jobs=2)
+            assert _blas_threads() == before
+        finally:
+            sweep._set_blas_threads(own)
 
     def test_workers_keep_user_blas_threads(self, monkeypatch):
         if not sweep._openblas_entry_points("get"):

@@ -138,6 +138,16 @@ class TestMalformedFiles:
                                                                spoil, start):
         self._reduce_exits_2_with_one_line(tmp_path, capsys, spoil, start)
 
+    @pytest.mark.parametrize("dt", ["null", '"x"', "true", "0", "-1", "NaN"])
+    def test_reduce_on_bad_sidecar_dt_exits_2_with_one_line(self, tmp_path, capsys, dt):
+        def spoil(path):
+            sidecar = json.loads(Path(path + ".json").read_text())
+            Path(path + ".json").write_text(
+                json.dumps({**sidecar, "dt": "@"}).replace('"@"', dt))
+
+        self._reduce_exits_2_with_one_line(tmp_path, capsys, spoil,
+                                           "error: snapshot sidecar", "--kind", "dmd")
+
     def test_reduce_on_unconverged_svd_exits_2_with_one_line(self, tmp_path, capsys,
                                                              monkeypatch):
         def spoil(path):
@@ -147,14 +157,14 @@ class TestMalformedFiles:
                                            "error: np.linalg.svd of a 8x9 matrix failed")
 
     @staticmethod
-    def _reduce_exits_2_with_one_line(tmp_path, capsys, spoil, start):
+    def _reduce_exits_2_with_one_line(tmp_path, capsys, spoil, start, *argv):
         snap = str(tmp_path / "truth.bin")
         ini = _write_ini(tmp_path, reduction_extra=f"snapshot_file = {snap}\n")
         assert dispatch(["truth", "--config", ini, "--out", snap]) == 0
         spoil(snap)
         capsys.readouterr()
         assert dispatch(["reduce", "--config", ini,
-                         "--out", str(tmp_path / "b.bin")]) == 2
+                         "--out", str(tmp_path / "b.bin"), *argv]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(start)
 
@@ -271,6 +281,19 @@ class TestCliReduce:
         assert basis.kind == "dmd"
         # conjugate pairs may round the requested rank up by one
         assert basis.rank in (3, 4)
+
+    @pytest.mark.parametrize("dt, expected", [(None, 1.0), (2, 2.0)], ids=["absent", "int"])
+    def test_dmd_reads_sidecar_dt(self, tmp_path, capsys, dt, expected):
+        ini = self._with_truth(tmp_path)
+        sidecar_path = tmp_path / "truth.bin.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        del sidecar["dt"]
+        sidecar_path.write_text(json.dumps(sidecar if dt is None else {**sidecar, "dt": dt}))
+        out = str(tmp_path / "basis.bin")
+        assert dispatch(["reduce", "--config", ini, "--out", out, "--kind", "dmd"]) == 0
+        capsys.readouterr()
+        parameters = json.loads(Path(out + ".json").read_text())["parameters"]
+        assert parameters["dt"] == expected and isinstance(parameters["dt"], float)
 
     def test_aus_is_not_precomputable(self, tmp_path, capsys):
         ini = self._with_truth(tmp_path)

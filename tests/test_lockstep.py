@@ -10,6 +10,7 @@ import functools
 import logging
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -414,6 +415,29 @@ def test_one_run_trial_per_task_and_one_filter_step_per_cycle(monkeypatch, propo
                      "step": 3 * config.trials * config.n_observations}
 
 
+# the barrier of test_the_caller_is_one_of_the_workers; pool workers forked
+# while it is set inherit it
+_barrier = None
+
+
+def _report_pid(chunk, memo=None):
+    _barrier.wait(timeout=60)
+    return [(p, t, os.getpid()) for p, t, _ in chunk]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_the_caller_is_one_of_the_workers(monkeypatch, jobs):
+    # one chunk per process, each held until every process holds one: the
+    # barrier breaks unless the caller runs a chunk alongside jobs - 1 workers
+    monkeypatch.setattr(sys.modules[__name__], "_barrier",
+                        multiprocessing.get_context("fork").Barrier(jobs))
+    monkeypatch.setattr(sweep, "_run_chunk", _report_pid)
+    _forked_pool(monkeypatch)
+    chunks = [[(0, t, None)] for t in range(jobs)]
+    pids = set(sweep._execute(chunks, jobs, None).values())
+    assert len(pids) == jobs and os.getpid() in pids
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_each_process_reads_each_input_file_once(monkeypatch, tmp_path, jobs):
     base = _config("l96", "pod", "oppf")
@@ -439,8 +463,7 @@ def test_each_process_reads_each_input_file_once(monkeypatch, tmp_path, jobs):
     _forked_pool(monkeypatch)
     rows = run_sweep(config, jobs=jobs)
     assert [row.failed_trials for row in rows] == [0] * 4
-    reads = log.read_text().splitlines()
-    assert len(reads) == len(set(reads))  # no process read a file twice
-    assert {line.split()[1] for line in reads} == {snapshots, basis}
-    # the parent's check before any trial reads both
-    assert {f"{os.getpid()} {snapshots}", f"{os.getpid()} {basis}"} <= set(reads)
+    # the caller's check before any trial reads both, and pool workers start
+    # from what it read
+    assert sorted(log.read_text().splitlines()) == sorted(
+        [f"{os.getpid()} {snapshots}", f"{os.getpid()} {basis}"])

@@ -116,6 +116,24 @@ def test_cli_import_defers_numpy_random():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("kind", ["pod", "dmd"])
+def test_a_run_loads_no_numpy_ma(tmp_path, kind):
+    # np.unique loads numpy.ma on first use, and it adds about 1.25 MiB to
+    # every run's peak RSS; distinctness checks sort instead
+    (tmp_path / "tiny.ini").write_text(
+        "[model]\nkind = l96\ndimension = 8\n"
+        f"[reduction]\nkind = {kind}\nr_p = 4\nr_d = 2\n"
+        "training_steps = 40\ntraining_stride = 5\n"
+        "[filter]\nkind = projoppf\nn_particles = 4\n"
+        "[experiment]\nn_observations = 3\ntrials = 1\nburn_in = 50\n")
+    out = _run_python("import sys\n"
+                      "from projda.cli import dispatch\n"
+                      "assert dispatch(['assimilate', '--config', 'tiny.ini']) == 0\n"
+                      "print('numpy.ma' in sys.modules)\n", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_model_based_projoppf_runs_without_scipy():
     # a POD state basis and a model-based data reduction take the dense R^q,
     # weighting and proposal routes
