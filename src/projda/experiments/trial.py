@@ -136,20 +136,24 @@ def _spin_up(model, x0, burn_in: int, training_steps: int = 0,
 
     Records the states at steps burn_in + k * stride when stride is given, and
     the states one observation cycle apart within the last anchor_cycles cycles
-    (the basis spin-up anchors). Returns (x_end, snapshots or None, anchors or
-    None), all read-only, as trials may share them."""
+    (the basis spin-up anchors), with one model.step call from each recorded
+    state to the next. Returns (x_end, snapshots or None, anchors or None),
+    all read-only, as trials may share them."""
     spo = model.steps_per_observation
     total = burn_in + training_steps
-    window = anchor_cycles * spo
+    snap_at = set(range(burn_in, total + 1, stride)) if stride else set()
+    anchor_at = {total - j * spo for j in range(1, anchor_cycles + 1) if j * spo <= total}
     snaps, anchors = [], []
     x = np.asarray(x0, dtype=float)
-    for s in range(total + 1):
-        if stride and s >= burn_in and (s - burn_in) % stride == 0:
+    s = 0
+    for mark in sorted(snap_at | anchor_at | {total}):
+        if mark > s:
+            x = model.step(x, mark - s)
+            s = mark
+        if mark in snap_at:
             snaps.append(x)
-        if s < total and total - s <= window and (total - s) % spo == 0:
+        if mark in anchor_at:
             anchors.append(x)
-        if s < total:
-            x = model.step(x)
     out = (x, np.asarray(snaps) if snaps else None, np.asarray(anchors) if anchors else None)
     for arr in out:
         if arr is not None:

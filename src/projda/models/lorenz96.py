@@ -1,8 +1,9 @@
 """Lorenz-96 cyclic lattice model with fixed-step RK4 integration.
 
-A step, and l96_rhs, run in the buffers of one plan per state shape, built
-on first use and kept for the life of the process. Each returns a fresh array
-in its input's memory order; calls on one shape must not overlap (no threads).
+A call of step(state, n), and of l96_rhs, runs in the buffers of one plan per
+state shape, built on first use and kept for the life of the process. Each
+returns one fresh array in its input's memory order; calls on one shape must
+not overlap (no threads). cycle_map is the call of steps_per_observation steps.
 """
 
 from __future__ import annotations
@@ -65,24 +66,28 @@ class _StepPlan:
         out += forcing
         return out
 
-    def step(self, x: np.ndarray, constants: tuple) -> np.ndarray:
+    def step(self, x: np.ndarray, constants: tuple, n: int) -> np.ndarray:
+        """n RK4 steps from x into one fresh array in x's memory order; each
+        step after the first updates that array in place."""
         forcing, half, full, sixth, two = constants
         k1, k2, k3, k4, scaled = self.k
-        self.stage[...] = x
-        self.tendency(forcing, k1)
-        for k_in, k_out, h in ((k1, k2, half), (k2, k3, half), (k3, k4, full)):
-            np.multiply(k_in, h, out=scaled)
-            np.add(x, scaled, out=self.stage)
-            self.tendency(forcing, k_out)
-        k2 *= two
-        k2 += k1
-        k3 *= two
-        k2 += k3
-        k2 += k4
-        k2 *= sixth
-        out = np.add(x, k2, out=np.empty_like(x))
-        if not np.isfinite(out).all():
-            raise BlowupError("RK4 step produced non-finite values")
+        out = np.empty_like(x)
+        for _ in range(n):
+            self.stage[...] = x
+            self.tendency(forcing, k1)
+            for k_in, k_out, h in ((k1, k2, half), (k2, k3, half), (k3, k4, full)):
+                np.multiply(k_in, h, out=scaled)
+                np.add(x, scaled, out=self.stage)
+                self.tendency(forcing, k_out)
+            k2 *= two
+            k2 += k1
+            k3 *= two
+            k2 += k3
+            k2 += k4
+            k2 *= sixth
+            x = np.add(x, k2, out=out)
+            if not np.isfinite(out).all():
+                raise BlowupError("RK4 step produced non-finite values")
         return out
 
 
@@ -115,18 +120,19 @@ class L96Spec:
     def cycle_dt(self) -> float:
         return self.dt * self.steps_per_observation
 
-    def step(self, state):
-        """One internal deterministic RK4 step of a state or of each column of
-        a block; a fresh array in the input's memory order."""
+    def step(self, state, n: int = 1):
+        """n internal deterministic RK4 steps of a state or of each column of
+        a block. The result is bit for bit that of n calls of one step, and a
+        walk that blows up raises the same BlowupError at the same step. It
+        is one fresh array in the input's memory order."""
+        if n < 1:
+            raise ValueError(f"step count must be >= 1, got {n}")
         x = np.asarray(state, dtype=float)
-        return _plan(x).step(x, self._rk4)
+        return _plan(x).step(x, self._rk4, n)
 
     def cycle_map(self, state):
-        """Deterministic map over one observation cycle (steps_per_observation steps)."""
-        x = np.asarray(state, dtype=float)
-        for _ in range(self.steps_per_observation):
-            x = self.step(x)
-        return x
+        """Deterministic map over one observation cycle: one call of step."""
+        return self.step(state, self.steps_per_observation)
 
     def default_state(self, rng=None) -> np.ndarray:
         """Forcing-level rest state, optionally with a small random perturbation

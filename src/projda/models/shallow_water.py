@@ -9,13 +9,15 @@ linear bottom friction are applied as a first-order source split on velocities.
 The flat state vector is [u; v; h] with each field flattened in row-major
 (y, x) order, so the state dimension is M = 3 * nx * ny.
 
-A step of k columns runs every stage into the buffers of one step plan per
-(spec, k), built on first use and kept for the life of the process; each step
-returns a fresh array, and steps of one shape must not overlap (no threads).
+A call of step(state, n) on k columns runs n steps in the buffers of one step
+plan per (spec, k), built on first use and kept for the life of the process;
+each call returns one fresh array, and calls of one shape must not overlap (no
+threads). cycle_map is the call of steps_per_observation steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,18 +83,27 @@ class SWESpec:
 
     # -- stepping ----------------------------------------------------------
 
-    def step(self, state: np.ndarray) -> np.ndarray:
-        """One internal step; accepts (M,) or a batch of column states (M, k).
+    def step(self, state: np.ndarray, n: int = 1) -> np.ndarray:
+        """n internal steps; accepts (M,) or a batch of column states (M, k).
 
-        A single state is stepped as a batch of one. The result is a fresh
-        C-ordered array, (M,) or (M, k) whatever the memory order of the
-        input, which callers may keep. Every intermediate lives in the plan of
-        this spec and k (`_plan`), built on the first step of that shape and
-        reused after, so beyond the array it returns a step allocates only the
-        small temporaries of its checks. The plan makes the step
+        The result is bit for bit that of n calls of one step, and a failing
+        walk raises the same BlowupError, message and column, at the same
+        step. It is a fresh C-ordered array, (M,) or (M, k) whatever the
+        memory order of the input, which callers may keep. A single state is
+        stepped as a batch of one.
+
+        Every intermediate lives in the plan of this spec and k (`_plan`),
+        built on the first step of that shape and reused after, so a call
+        allocates only the array it returns. Step i > 0 starts from the
+        buffers where step i - 1 left its output, and takes its input checks
+        from the reductions that checked that output; a failed check is
+        redone on the whole state as the first step checks its input, so the
+        messages are those of single steps. The plan makes the step
         non-re-entrant: two steps of one shape must not run at the same time
         in one process (projda runs no threads; sweep workers are processes).
         """
+        if n < 1:
+            raise ValueError(f"step count must be >= 1, got {n}")
         state = np.asarray(state, dtype=float)
         batched = state.ndim == 2
         cols = state if batched else state[:, None]
@@ -100,18 +111,37 @@ class SWESpec:
         fields = _fields(cols, self.nx, self.ny)
         _check(fields, self._stability_error, batched)
         plan = _plan(self, k)
-        h_new = plan.advect(fields)
-        _check(h_new[None], _depth_error, batched)
-        out = np.empty((self.dimension, k))
-        plan.source_split(_fields(out, self.nx, self.ny))
-        _check(out, _finite_error, batched)
+        # the fastest flow over the deepest layer at the finer grid spacing
+        # bounds the CFL number of either direction from above (each float
+        # operation rounds monotonically); a NaN or inf velocity fails it too
+        spacing = min(self.dx, self.dy)
+        for i in range(n):
+            h_min, h_max = _range(plan.advect(fields))
+            if not (h_min > 0.0 and h_max < np.inf):
+                _check(plan.h_new[None], _depth_error, batched)
+            plan.source_split()
+            flow_min, flow_max = _range(plan.rot_core)
+            c = math.sqrt(self.gravity * h_max)
+            if not (max(flow_max, -flow_min) + c) * self.dt / spacing < 1.0:
+                out = self._emit(plan)
+                _check(out, _finite_error, batched)
+                if i + 1 < n:
+                    _check(_fields(out, self.nx, self.ny), self._stability_error, batched)
+            fields = (*plan.rot_core, plan.h_new)
+        out = self._emit(plan)
         return out if batched else out[:, 0]
 
     def cycle_map(self, state):
-        x = np.asarray(state, dtype=float)
-        for _ in range(self.steps_per_observation):
-            x = self.step(x)
-        return x
+        """Deterministic map over one observation cycle: one call of step."""
+        return self.step(state, self.steps_per_observation)
+
+    def _emit(self, plan: "_StepPlan") -> np.ndarray:
+        """The state a plan's last step produced, as a fresh (M, k) array."""
+        out = np.empty((self.dimension, plan.k))
+        fields = _fields(out, self.nx, self.ny)
+        fields[:2] = plan.rot_core
+        fields[2] = plan.h_new
+        return out
 
     def _stability_error(self, fields) -> str | None:
         """Why the (u, v, h) fields cannot be stepped, or None."""
@@ -120,10 +150,14 @@ class SWESpec:
         message = _depth_error(h, h_max)
         if message is not None:
             return message
+        u_min, u_max = _range(u)
+        v_min, v_max = _range(v)
+        if not all(-np.inf < a < np.inf for a in (u_min, u_max, v_min, v_max)):
+            return "shallow-water velocities are non-finite"
         c = np.sqrt(self.gravity * h_max)
         cfl = max(
-            (np.maximum.reduce(np.abs(u), None) + c) * self.dt / self.dx,
-            (np.maximum.reduce(np.abs(v), None) + c) * self.dt / self.dy,
+            (max(u_max, -u_min) + c) * self.dt / self.dx,
+            (max(v_max, -v_min) + c) * self.dt / self.dy,
         )
         if cfl >= 1.0:
             return f"runtime CFL violation: (|u| + sqrt(g h)) dt/dx = {cfl:.3f} >= 1"
@@ -195,6 +229,7 @@ class _StepPlan:
 
     def __init__(self, spec: SWESpec, k: int):
         nx, ny = spec.nx, spec.ny
+        self.k = k
         w = nx + 2
         n = (ny + 2) * w
         size = k * n  # cells per field
@@ -263,8 +298,9 @@ class _StepPlan:
         self.neighbours = (r[lo + 1:stop + 1], r[lo - 1:stop - 1],
                            r[lo + w:stop + w], r[lo - w:stop - w])
 
-    def advect(self, fields: np.ndarray) -> np.ndarray:
-        """Two-step Lax-Wendroff update of (u, v, h) fields; the new depth."""
+    def advect(self, fields) -> np.ndarray:
+        """Two-step Lax-Wendroff update of (u, v, h) fields, which may be
+        views of the plan's own rot_core and h_new; the new depth."""
         u, v, h = fields
         core = self.core
         core[0] = h
@@ -302,10 +338,11 @@ class _StepPlan:
         new -= d
         return self.h_new
 
-    def source_split(self, out: np.ndarray) -> None:
+    def source_split(self) -> None:
         """Coriolis rotation and friction decay (exact), explicit viscosity.
 
-        Runs after `advect` and writes the new (u, v, h) into the fields `out`.
+        Runs after `advect`; the new velocities are left in rot_core and the
+        new depth in h_new.
         """
         uv, turn, rot = self.uv, self.turn, self.rot_core
         np.divide(self.pq_new, self.h_new, out=uv)
@@ -328,9 +365,6 @@ class _StepPlan:
         lap_x *= self.dt_nu
         centre *= self.decay
         centre += lap_x
-
-        out[:2] = rot
-        out[2] = self.h_new
 
 
 class _Ghosts:
@@ -396,12 +430,14 @@ def _check(a: np.ndarray, error, batched: bool) -> None:
             raise BlowupError(f"{message} (column {j})" if batched else message)
 
 
-def _depth_error(h: np.ndarray, h_max: float | None = None) -> str | None:
-    """Why the depths h cannot be stepped, or None; h_max is their maximum.
+def _range(a: np.ndarray) -> tuple:
+    """The minimum and the maximum of a, NaN if a holds one; the ufuncs' own
+    reductions, as a.min() and a.max() without the Python wrapper."""
+    return np.minimum.reduce(a, None), np.maximum.reduce(a, None)
 
-    The checks reduce with the ufuncs themselves, the same reductions as
-    h.min() and h.max() without the Python wrapper around them.
-    """
+
+def _depth_error(h: np.ndarray, h_max: float | None = None) -> str | None:
+    """Why the depths h cannot be stepped, or None; h_max is their maximum."""
     if h_max is None:
         h_max = np.maximum.reduce(h, None)
     if np.minimum.reduce(h, None) > 0.0 and h_max < np.inf:

@@ -6,9 +6,10 @@ et al. (1980) that AUS reuses (Trevisan & Uboldi 2004): a block of directions
 is carried through a map by finite differences about a base point and
 re-orthonormalized by positive-diagonal QR. aus_step takes one such step
 through a model's cycle_map (one observation cycle); lyapunov_spectrum folds
-the same step over maps of qr_interval calls to the model's step and sums the
-log diagonal of T. tangent_block gives the block a step maps, so that a caller
-can map it together with other states and hand aus_step the result.
+the same step over maps of qr_interval model steps, one model.step call
+each, and sums the log diagonal of T. tangent_block gives the block a step
+maps, so that a caller can map it together with other states and hand
+aus_step the result.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def lyapunov_spectrum(model, x0, n_steps: int, p: int, eps: float = 1e-6,
     """Leading p Lyapunov exponents of the model's internal step map.
 
     The tangent recursion of aus_step, started from the first p coordinate
-    axes, over maps of qr_interval model steps (the last one shorter when
-    n_steps is not a multiple); the exponents are the accumulated log
-    diagonal of T divided by the elapsed time n_steps * model.dt. Returned
-    sorted descending.
+    axes, over maps of qr_interval model steps taken by one model.step call
+    (the last one shorter when n_steps is not a multiple); the exponents are
+    the accumulated log diagonal of T divided by the elapsed time
+    n_steps * model.dt. Returned sorted descending.
     """
     x = np.asarray(x0, dtype=float)
     m = x.size
@@ -82,9 +83,7 @@ def lyapunov_spectrum(model, x0, n_steps: int, p: int, eps: float = 1e-6,
     log_sums = np.zeros(p)
     for start in range(0, n_steps, qr_interval):
         stop = min(start + qr_interval, n_steps)
-        block = tangent_block(x, q, eps)
-        for _ in range(stop - start):
-            block = model.step(block)
+        block = model.step(tangent_block(x, q, eps), stop - start)
         try:
             x, (q, t) = _tangent_qr(block, x, eps)
         except ReductionError as exc:

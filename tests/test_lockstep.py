@@ -35,7 +35,7 @@ from projda.experiments.trial import (
     _file_inputs,
     _initial_state,
     _map_together,
-    _shared_spin_up,
+    _spin_up,
 )
 from projda.filters import initialize_ensemble, proj_oppf_step, proj_pf_step
 from projda.models import L96Spec, SWESpec, observe, save_snapshots
@@ -65,12 +65,31 @@ from projda.reduction.reduced_model import conjugate_noise
 logger = logging.getLogger("projda.experiments")
 
 
+def _reference_spin_up(model, x0, burn_in, training_steps, stride, anchor_cycles):
+    """_spin_up as it walked before it took one model.step call from each
+    recorded state to the next: one call per step."""
+    spo = model.steps_per_observation
+    total = burn_in + training_steps
+    window = anchor_cycles * spo
+    snaps, anchors = [], []
+    x = np.asarray(x0, dtype=float)
+    for s in range(total + 1):
+        if stride and s >= burn_in and (s - burn_in) % stride == 0:
+            snaps.append(x)
+        if s < total and total - s <= window and (total - s) % spo == 0:
+            anchors.append(x)
+        if s < total:
+            x = model.step(x)
+    return x, np.asarray(snaps) if snaps else None, np.asarray(anchors) if anchors else None
+
+
 def _reference_trial(config, trial_index: int) -> MetricsRecord:
     """The body of run_trial before lockstep, verbatim but for three marked
-    adaptations: the spin-up memo is a fresh dict (the parent accepted None), the
-    driver's incoming basis is named u (the parent's initial_basis), and the
-    driver is ReductionDriver below, the class run_trial used before lockstep
-    folded it into its trials. ReductionDriver.advance(ensemble) without a
+    adaptations: the spin-up is _reference_spin_up above, a walk of single
+    steps without a memo of shared walks, the driver's incoming basis is
+    named u (the parent's initial_basis), and the driver is ReductionDriver
+    below, the class run_trial used before lockstep folded it into its
+    trials. ReductionDriver.advance(ensemble) without a
     mapped block and the filter steps without fz map their states themselves,
     as the parent's did."""
     rng = RngStream(config.base_seed).child(trial_index)
@@ -84,7 +103,8 @@ def _reference_trial(config, trial_index: int) -> MetricsRecord:
     rmses, projs, esses, flags = [], [], [], []
     try:
         x_init = _initial_state(config, model, rng)
-        x_start, snapshots, anchors = _shared_spin_up(config, model, x_init, {})  # adapted
+        x_start, snapshots, anchors = _reference_spin_up(  # adapted
+            model, x_init, *trial_module._walk(config))
         driver = ReductionDriver(config, model, h, q, r, snapshots, anchors, rng)  # adapted
 
         z0 = driver.u.reduce(x_start)  # adapted
@@ -278,6 +298,39 @@ def test_records_equal_the_per_trial_loop(model, reduction, proposal, truth_nois
         assert_same_record(record, reference)
         assert_same_record(run_trial(points[p], t), reference)  # a group of one
     assert len(grouped) == 2 * config.trials
+
+
+@pytest.mark.parametrize("burn_in, training_steps, stride, anchor_cycles", [
+    (0, 0, None, 0), (0, 0, 1, 0), (7, 0, None, 0), (0, 12, 3, 0), (5, 20, 4, 0),
+    (5, 21, 4, 0), (13, 40, 7, 3), (10, 10, 5, 4), (0, 20, 1, 4), (3, 17, None, 2),
+])
+def test_spin_up_equals_the_walk_of_single_steps(monkeypatch, burn_in, training_steps,
+                                                 stride, anchor_cycles):
+    # snapshots and anchors interleave, share steps, start the walk or end it
+    model = L96Spec(dimension=8, steps_per_observation=5)
+    x0 = model.default_state()
+    walk = (burn_in, training_steps, stride, anchor_cycles)
+    expect = _reference_spin_up(model, x0, *walk)
+    counts = []
+    step = L96Spec.step
+
+    def counted(self, state, n=1):
+        counts.append(n)
+        return step(self, state, n)
+
+    monkeypatch.setattr(L96Spec, "step", counted)
+    got = _spin_up(model, x0, *walk)
+    for a, b in zip(got, expect):
+        assert (a is None) == (b is None)
+        assert a is None or (np.array_equal(a, b) and not a.flags.writeable)
+    # one call from each recorded state to the next, and on to the end
+    recorded = {0, burn_in + training_steps}
+    if stride:
+        recorded |= set(range(burn_in, burn_in + training_steps + 1, stride))
+    recorded |= {burn_in + training_steps - j * model.steps_per_observation
+                 for j in range(1, anchor_cycles + 1)}
+    marks = sorted(m for m in recorded if m >= 0)
+    assert counts == [b - a for a, b in zip(marks, marks[1:]) if b > a]
 
 
 def test_points_on_different_models_share_a_chunk():

@@ -13,6 +13,7 @@ Hand oracles:
   each with its own ghost-padded copy, in the same float operation order.
 """
 
+import re
 import tracemalloc
 import warnings
 
@@ -27,7 +28,7 @@ from projda.models import (
     l96_rhs,
     observe,
 )
-from projda.models import lorenz96
+from projda.models import lorenz96, shallow_water
 from projda.experiments import default_config, training_trajectory
 from projda.numerics import TRUTH_IC, NoiseSpec, RngStream
 
@@ -441,14 +442,9 @@ class TestShallowWater:
         assert peak < 5 * y.nbytes, f"peak {peak / 1024:.0f} KiB"
 
     def test_batched_check_is_per_column(self):
-        # column 0 holds the fastest flow and column 1 the deepest layer; each
-        # is stable alone, but the fastest flow over the deepest layer is not
         spec = SWESpec(nx=8, ny=4)
-        zero = np.zeros((4, 8))
-        fast = spec.pack(np.full((4, 8), 250.0), zero, np.full((4, 8), spec.depth))
-        deep = spec.pack(zero, zero, np.full((4, 8), 9000.0))
         assert (250.0 + np.sqrt(spec.gravity * 9000.0)) * spec.dt / spec.dx >= 1.0
-        block = np.stack([fast, deep], axis=1)
+        block = _fast_deep_pair(spec)
         assert np.array_equal(spec.step(block), _reference_step(spec, block))
 
     def test_batched_cfl_violation_names_its_column(self):
@@ -473,15 +469,22 @@ class TestShallowWater:
         # a one-metre cell drained from both sides passes the check before
         # the step and fails the one after it
         spec = SWESpec(nx=8, ny=4)
-        h = np.full((4, 8), spec.depth)
-        h[1, 3] = 1.0
-        u = np.zeros((4, 8))
-        u[:, 4:] = 100.0
-        u[:, :3] = -100.0
-        drained = spec.pack(u, np.zeros((4, 8)), h)
+        drained = _drained(spec, 1.0)
         x = spec.default_jet_state()
         with pytest.raises(BlowupError, match=r"depth became .*\(column 2\)$"):
             spec.step(np.stack([x, x, drained], axis=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [0, 1], ids=["u", "v"])
+    def test_non_finite_velocity_is_rejected_before_the_step(self, field, bad):
+        # NaN compares false with the CFL bound, so that check alone let it in
+        spec = SWESpec(nx=8, ny=4)
+        x = spec.default_jet_state()
+        x[field * spec.nx * spec.ny + 3] = bad
+        with pytest.raises(BlowupError, match=r"^shallow-water velocities are non-finite$"):
+            spec.step(x)
+        with pytest.raises(BlowupError, match=r"velocities are non-finite \(column 1\)$"):
+            spec.step(np.stack([spec.default_jet_state(), x], axis=1))
 
     def test_static_cfl_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -502,6 +505,268 @@ class TestShallowWater:
             x = spec.step(x)
         u, v, h = spec.split(x)
         assert np.all(h > 0) and np.all(np.abs(u) < 60)
+
+
+# -- step(state, n): n steps in one call -----------------------------------------
+
+_MODELS = ["l96", "swe"]
+_LAYOUTS = ["single", "c_block", "f_block"]
+
+
+def _model_inputs(model: str) -> tuple:
+    """A spec of the model and states to step: one state, a C-ordered and an
+    F-ordered block."""
+    if model == "l96":
+        g = np.random.default_rng(23)
+        return L96Spec(forcing=8.0), {name: _L96_INPUTS[name](g) for name in _LAYOUTS}
+    spec = SWESpec()
+    return spec, {"single": spec.default_jet_state(),
+                  "c_block": np.ascontiguousarray(_jet_block(spec, 5)),
+                  "f_block": _jet_block(spec, 5)}
+
+
+def _single_steps(spec, x, n: int) -> np.ndarray:
+    """n calls of one step from x, which step(x, n) must equal."""
+    for _ in range(n):
+        x = spec.step(x)
+    return x
+
+
+def _returned_layout(spec, x, y) -> bool:
+    """Whether y has the memory order a step of x returns: x's own for
+    Lorenz-96, C order for the shallow-water model."""
+    return _same_layout(x, y) if spec.keeps_order else y.flags.c_contiguous
+
+
+def _l96_streams() -> list:
+    """Lorenz-96 states of every kind of step plan, to be stepped in turn: one
+    state, a C-ordered block, a smaller model with other constants, and an
+    F-ordered block that shares the plan of the C one."""
+    g = np.random.default_rng(29)
+    big, small = L96Spec(forcing=8.0), L96Spec(dimension=9, forcing=3.0, dt=0.02)
+    return [(big, 3.0 * g.standard_normal(40)), (big, g.standard_normal((40, 4))),
+            (small, g.standard_normal((9, 3))), (big, g.standard_normal((4, 40)).T)]
+
+
+def _swe_plan_buffers() -> list:
+    """Every array the shallow-water step plans hold: alone, in a tuple or in
+    a ghost gather."""
+    held = []
+    for plan in shallow_water._PLANS.values():
+        for value in vars(plan).values():
+            if isinstance(value, shallow_water._Ghosts):
+                held += vars(value).values()
+            elif isinstance(value, tuple):
+                held += value
+            else:
+                held.append(value)
+    return [a for a in held if isinstance(a, np.ndarray)]
+
+
+class TestStepCount:
+    """step(x, n) runs n steps in one call: the bits, the memory order and the
+    errors of n calls of one step, in one fresh array."""
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_equals_single_steps_bit_for_bit(self, model, layout):
+        spec, inputs = _model_inputs(model)
+        x = inputs[layout]
+        for n in (1, 2, 7, 60):
+            got, expect = spec.step(x, n), _single_steps(spec, x, n)
+            assert got.shape == expect.shape and np.array_equal(got, expect)
+            assert _same_layout(got, expect) and _returned_layout(spec, x, got)
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_interleaved_plans_equal_single_steps(self, model):
+        # calls of other shapes between two calls of one shape reuse every
+        # plan; neither the walks nor the arrays returned earlier may change
+        if model == "l96":
+            streams = _l96_streams()
+        else:
+            streams = [(spec, x) for spec, x, _ in _interleaved_streams()]
+        counts = (3, 1, 5, 2)
+        xs, kept = [x for _, x in streams], []
+        for n in counts:
+            xs = [spec.step(x, n) for (spec, _), x in zip(streams, xs)]
+            kept += [(y, y.copy()) for y in xs]
+        for (spec, x0), y in zip(streams, xs):
+            expect = _single_steps(spec, x0, sum(counts))
+            assert np.array_equal(y, expect) and _same_layout(y, expect)
+        assert all(np.array_equal(y, copy) for y, copy in kept)
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_results_share_no_memory(self, model):
+        # _spin_up keeps its snapshots by reference
+        spec, inputs = _model_inputs(model)
+        for name, x in inputs.items():
+            kept = []
+            for n in (3, 1, 4):
+                x = spec.step(x, n)
+                kept.append((x, x.copy()))
+            buffers = _plan_buffers() if model == "l96" else _swe_plan_buffers()
+            for i, (y, copy) in enumerate(kept):
+                assert np.array_equal(y, copy), name
+                assert not any(np.shares_memory(y, b) for b in buffers), name
+                assert not any(np.shares_memory(y, z) for z, _ in kept[i + 1:]), name
+
+    def test_swe_walks_raise_no_floating_point_warnings(self):
+        streams = _interleaved_streams()
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (7, 1, 30):
+                streams = [(spec, spec.step(x, n), f) for spec, x, f in streams]
+
+    @pytest.mark.parametrize("model, k", [("swe", 1), ("swe", 5), ("l96", 21)])
+    def test_a_cycle_allocates_little_beyond_its_result(self, model, k):
+        # the bound of a single step (TestShallowWater) holds for 60 steps
+        spec, inputs = _model_inputs(model)
+        x = inputs["single" if k == 1 else "f_block"]
+        spec.step(x, 60)  # builds the plan of this shape
+        tracemalloc.start()
+        try:
+            y = spec.step(x, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * y.nbytes, f"peak {peak / 1024:.0f} KiB"
+
+    @pytest.mark.parametrize("model", _MODELS)
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_a_count_below_one_is_rejected(self, model, n):
+        spec, inputs = _model_inputs(model)
+        with pytest.raises(ValueError, match="step count must be >= 1"):
+            spec.step(inputs["single"], n)
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_cycle_map_is_one_call_of_step(self, monkeypatch, model):
+        # a tracer wraps the attribute step, so a cycle must go through it
+        spec, inputs = _model_inputs(model)
+        step, counts = type(spec).step, []
+
+        def counted(self, state, n=1):
+            counts.append(n)
+            return step(self, state, n)
+
+        monkeypatch.setattr(type(spec), "step", counted)
+        y = spec.cycle_map(inputs["c_block"])
+        assert counts == [spec.steps_per_observation]
+        assert np.array_equal(y, _single_steps(spec, inputs["c_block"],
+                                               spec.steps_per_observation))
+
+
+# -- failing walks: the error of the failing single step ------------------------
+
+def _checkerboard(spec: SWESpec, amplitude: float) -> np.ndarray:
+    """Rest depth under velocities of the amplitude that alternate in sign
+    from cell to cell, the mode an explicit viscosity amplifies most."""
+    i, j = np.indices((spec.ny, spec.nx))
+    flow = amplitude * (-1.0) ** (i + j)
+    return spec.pack(flow, flow, np.full((spec.ny, spec.nx), spec.depth))
+
+
+def _drained(spec: SWESpec, depth: float) -> np.ndarray:
+    """One cell of the depth on an 8x4 grid, drained from both sides."""
+    h = np.full((4, 8), spec.depth)
+    h[1, 3] = depth
+    u = np.zeros((4, 8))
+    u[:, 4:] = 100.0
+    u[:, :3] = -100.0
+    return spec.pack(u, np.zeros((4, 8)), h)
+
+
+def _fast_deep_pair(spec: SWESpec) -> np.ndarray:
+    """The fastest flow in column 0 and the deepest layer in column 1: each
+    is stable alone, but the fastest flow over the deepest layer is not."""
+    zero = np.zeros((4, 8))
+    fast = spec.pack(np.full((4, 8), 250.0), zero, np.full((4, 8), spec.depth))
+    deep = spec.pack(zero, zero, np.full((4, 8), 9000.0))
+    return np.stack([fast, deep], axis=1)
+
+
+def _nan_velocity(spec: SWESpec) -> np.ndarray:
+    jet = spec.default_jet_state()
+    bad = jet.copy()
+    bad[3] = np.nan
+    return np.stack([jet, bad], axis=1)
+
+
+def _l96_spike(spec: L96Spec) -> np.ndarray:
+    x = np.full(spec.dimension, spec.forcing)
+    x[5] = 1e5
+    return x
+
+
+_SMALL = SWESpec(nx=8, ny=4)
+# a one-metre grid with a viscosity far past the explicit scheme's bound: the
+# checkerboard flow grows by about a factor 8 dt nu / dx^2 each step
+_FINE = dict(nx=8, ny=4, dx=1.0, dy=1.0, dt=0.01)
+
+# name -> (spec, state, the step at which single steps fail or None, message)
+_WALKS = {
+    "cfl-on-input": (_SMALL, lambda s: s.pack(*np.full((2, 4, 8), 300.0),
+                                              np.full((4, 8), s.depth)),
+                     0, r"^runtime CFL violation: .* >= 1$"),
+    "cfl-at-step-4": (SWESpec(**_FINE, viscosity=80.0), lambda s: _checkerboard(s, 1.0),
+                      4, r"^runtime CFL violation: .* = 1\.068 >= 1$"),
+    "depth-lost-at-step-3": (
+        _SMALL, lambda s: np.stack([s.default_jet_state()] * 2 + [_drained(s, 120.0)], axis=1),
+        3, r"^shallow-water layer depth became non-positive or non-finite \(column 2\)$"),
+    "non-finite-at-step-1": (SWESpec(**_FINE, viscosity=1.25e308),
+                             lambda s: _checkerboard(s, 4e-306),
+                             1, r"^shallow-water step produced non-finite values$"),
+    "nan-velocity-on-input": (_SMALL, _nan_velocity, 0,
+                              r"^shallow-water velocities are non-finite \(column 1\)$"),
+    "fast-deep-pair": (_SMALL, _fast_deep_pair, None, None),
+    "l96-at-step-2": (L96Spec(), _l96_spike, 2, r"^RK4 step produced non-finite values$"),
+}
+
+
+def _outcome(fn):
+    """fn()'s result, or the type and the message of the BlowupError it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn()
+        except BlowupError as exc:
+            return type(exc), str(exc)
+
+
+def _failing_step(spec, x, n: int):
+    """The index of the first of n single steps from x that raises, or None."""
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            try:
+                x = spec.step(x)
+            except BlowupError:
+                return i
+    return None
+
+
+@pytest.mark.parametrize("case", list(_WALKS))
+def test_a_walk_fails_as_its_single_steps_do(case):
+    spec, make, failing, message = _WALKS[case]
+    x, n = make(spec), 8
+    assert _failing_step(spec, x, n) == failing
+    got = _outcome(lambda: spec.step(x, n))
+    expect = _outcome(lambda: _single_steps(spec, x, n))
+    if failing is None:
+        assert np.array_equal(got, expect)
+        return
+    assert got == expect
+    assert re.search(message, got[1]), got[1]
+    if failing:
+        # the steps before the failing one pass
+        assert np.array_equal(spec.step(x, failing), _single_steps(spec, x, failing))
+
+
+def test_fast_deep_pair_fails_only_the_all_column_check_at_every_step():
+    # so each step of the walk takes the per-column fallback
+    x, n = _fast_deep_pair(_SMALL), _SMALL.nx * _SMALL.ny
+    for _ in range(8):
+        u, h = x[:n], x[2 * n:]
+        cfl = (np.abs(u).max() + np.sqrt(_SMALL.gravity * h.max())) * _SMALL.dt / _SMALL.dx
+        assert cfl >= 1.0
+        x = _SMALL.step(x)
 
 
 def _dense(h: ObservationOperator) -> np.ndarray:

@@ -178,11 +178,12 @@ class _DiagonalMap:
         self.dt = dt
         self.dimension = self.diag.size
 
-    def step(self, state):
+    def step(self, state, n=1):
         state = np.asarray(state, dtype=float)
-        if state.ndim == 1:
-            return self.diag * state
-        return self.diag[:, None] * state
+        d = self.diag if state.ndim == 1 else self.diag[:, None]
+        for _ in range(n):
+            state = d * state
+        return state
 
     def cycle_map(self, state):
         return self.step(state)
