@@ -25,7 +25,6 @@ from .models import (
     L96Spec,
     ObservationOperator,
     SWESpec,
-    l96_rhs,
     load_snapshots,
     observe,
     save_snapshots,

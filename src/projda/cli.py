@@ -17,6 +17,7 @@ import sys
 
 from .errors import ConfigError, ProjdaError, ReductionError
 from .experiments import load_config, replace, run_point, run_sweep, summarize
+from .experiments.config import _point
 from .experiments.sweep import write_summary_csv, write_trial_csv
 from .experiments.trial import _initial_state, _spin_up, _state_basis, training_trajectory
 from .models import load_snapshots, save_snapshots
@@ -171,8 +172,11 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = load_config(args.config)
-        config = _apply_overrides(args, config)
+        config = _apply_overrides(args, load_config(args.config))
+        if args.handler is not _cmd_sweep:
+            # the loader checked the sweep points; these commands run the
+            # base values, so check those as one point too
+            config = _point(config)
         return args.handler(args, config)
     except ProjdaError as exc:
         print(f"error: {exc}", file=sys.stderr)

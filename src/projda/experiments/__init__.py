@@ -1,11 +1,10 @@
-from .config import ExperimentConfig, default_config, load_config, replace
+from .config import ExperimentConfig, default_config, load_config, replace, sweep_points
 from .metrics import MetricsRecord, rmse, rmse_projected
 from .sweep import (
     SummaryRow,
     run_point,
     run_sweep,
     summarize,
-    sweep_points,
     write_summary_csv,
     write_trial_csv,
 )

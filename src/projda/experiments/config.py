@@ -3,13 +3,16 @@
 _TABLE maps each INI section and key to the ExperimentConfig field it sets;
 README.md (Configuration) lists the keys with their ranges. Unset keys take
 model-dependent defaults. Sweep keys are comma-separated lists; an empty value
-means the axis is not swept.
+means the axis is not swept. A sweep is its points (sweep_points), the
+product of the axes in _SWEEP_AXES; a config with a swept axis is valid when
+every point is.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +134,19 @@ class ExperimentConfig:
         return self.training_steps // self.training_stride + 1
 
     def validate(self) -> "ExperimentConfig":
+        """self, checked as one point, or, where a sweep axis is set, each of
+        its sweep points checked as one point; raises ConfigError naming the
+        section and key of the first value out of range."""
         def bad(section, key, msg):
             return ConfigError(f"[{section}] {key}: {msg}")
 
+        if self.model_kind == "swe" and self.sweep_forcing:
+            raise bad("experiment", "sweep_forcing", "forcing applies to the l96 model only")
+        if self.model_kind == "l96" and self.sweep_scenario:
+            raise bad("experiment", "sweep_scenario", "scenarios apply to the swe model only")
+        if any(getattr(self, key) for key in _SWEEP_ITEMS):
+            sweep_points(self)
+            return self
         if self.model_kind not in _MODEL_KINDS:
             raise bad("model", "kind", f"must be one of {_MODEL_KINDS}")
         if self.filter_kind not in _FILTER_KINDS:
@@ -154,14 +167,10 @@ class ExperimentConfig:
             raise bad("noise", "q_scale", "optimal-proposal filters need nonzero model noise")
         if self.r_scale == 0:
             raise bad("noise", "r_scale", "observation noise must be positive")
-        # a swept rank is never run at its base value, so no check reads it;
-        # sweep_points checks each point on its own
-        r_p = None if self.sweep_r_p else self.r_p
-        r_d = None if self.sweep_r_d else self.r_d
         if not self.uses_identity_reduction:
-            if any(k is not None and k < 1 for k in (r_p, r_d)):
+            if self.r_p < 1 or self.r_d < 1:
                 raise bad("reduction", "r_p/r_d", "must be positive")
-            if self.data_reduction == "model" and None not in (r_p, r_d) and r_d > r_p:
+            if self.data_reduction == "model" and self.r_d > self.r_p:
                 raise bad("reduction", "r_d", "model-based data reduction needs r_d <= r_p")
             if self.reduction_kind == "aus":
                 if self.data_reduction != "model":
@@ -188,10 +197,6 @@ class ExperimentConfig:
             raise bad("experiment", "burn_in/training", "burn_in, training_steps >= 0; stride >= 1")
         if self.base_seed < 0:
             raise bad("experiment", "base_seed", "must be nonnegative")
-        if self.model_kind == "swe" and self.sweep_forcing:
-            raise bad("experiment", "sweep_forcing", "forcing applies to the l96 model only")
-        if self.model_kind == "l96" and self.sweep_scenario:
-            raise bad("experiment", "sweep_scenario", "scenarios apply to the swe model only")
         if self.lyapunov_exponents < 1 or self.lyapunov_steps < 1:
             raise bad("experiment", "lyapunov_*", "must be positive")
         if self.lyapunov_qr_interval < 1:
@@ -203,11 +208,10 @@ class ExperimentConfig:
         h = _component("observation", self.build_observation, model)
         _component("filter", self.filter_config)
         if not self.uses_identity_reduction:
-            if r_p is not None and r_p > model.dimension:
+            if self.r_p > model.dimension:
                 raise bad("reduction", "r_p",
                           f"{self.r_p} exceeds the state dimension {model.dimension}")
-            if (self.data_reduction == "data" and r_d is not None and r_d > h.data_dim
-                    and not self.sweep_scenario):
+            if self.data_reduction == "data" and self.r_d > h.data_dim:
                 raise bad("reduction", "r_d",
                           f"data-based reduction needs r_d <= the {h.data_dim} observed "
                           f"components, got {self.r_d}")
@@ -225,15 +229,26 @@ def _component(section: str, build, *args):
 def _snapshots_needed(config: ExperimentConfig) -> int:
     """The fewest snapshots a trial of config trains its bases on: max(r_p, 3)
     for a POD or DMD state basis not read from a file, r_d for a data-based
-    data basis, the larger where it trains both; 0 where it trains on none.
-    A swept rank counts as 1, as its base value is never run."""
+    data basis, the larger where it trains both; 0 where it trains on none."""
     if config.uses_identity_reduction:
         return 0
     trains_u = config.reduction_kind in ("pod", "dmd") and not config.basis_file
-    r_p = 1 if config.sweep_r_p else config.r_p
-    r_d = 1 if config.sweep_r_d else config.r_d
-    return max(max(r_p, 3) if trains_u else 0,
-               r_d if config.data_reduction == "data" else 0)
+    return max(max(config.r_p, 3) if trains_u else 0,
+               config.r_d if config.data_reduction == "data" else 0)
+
+
+def _point(config: ExperimentConfig, **values) -> ExperimentConfig:
+    """config at one point: values set, the sweep axes cleared, and validated
+    as the point it is."""
+    return replace(config, **values, **dict.fromkeys(_SWEEP_ITEMS, ()))
+
+
+def sweep_points(config: ExperimentConfig) -> list[ExperimentConfig]:
+    """Every point of the sweep, in the order of _SWEEP_AXES with the first
+    axis outermost; an axis left empty stays at its config value."""
+    names = [name for name, _ in _SWEEP_AXES]
+    lists = [getattr(config, f"sweep_{name}") or (getattr(config, name),) for name in names]
+    return [_point(config, **dict(zip(names, values))) for values in itertools.product(*lists)]
 
 
 # The dataclass defaults are the Lorenz-96 ones; the shallow-water model
@@ -265,6 +280,11 @@ def _keys(fields: str, **renamed) -> dict:
     return {**{name: name for name in fields.split()}, **renamed}
 
 
+# The sweep axes, outermost first: the field each sweep_<field> list sets, and
+# the parser of the list's items
+_SWEEP_AXES = (("scenario", str.lower), ("forcing", float), ("q_scale", float),
+               ("r_p", int), ("r_d", int))
+_SWEEP_ITEMS = {f"sweep_{name}": parse for name, parse in _SWEEP_AXES}
 # [section] -> {key: field}; every ExperimentConfig field has exactly one key
 _TABLE = {
     "model": _keys("dimension forcing dt steps_per_observation nx ny dx dy gravity "
@@ -277,14 +297,10 @@ _TABLE = {
                        kind="reduction_kind"),
     "filter": _keys("n_particles ess_threshold resample_alpha resample_omega",
                     kind="filter_kind"),
-    "experiment": _keys("n_observations burn_in trials base_seed truth_noise sweep_r_p "
-                        "sweep_r_d sweep_forcing sweep_q_scale sweep_scenario "
+    "experiment": _keys("n_observations burn_in trials base_seed truth_noise "
                         "lyapunov_steps lyapunov_exponents lyapunov_eps "
-                        "lyapunov_qr_interval"),
+                        "lyapunov_qr_interval " + " ".join(_SWEEP_ITEMS)),
 }
-# Item parser of each comma-separated sweep list
-_SWEEP_ITEMS = {"sweep_r_p": int, "sweep_r_d": int, "sweep_forcing": float,
-                "sweep_q_scale": float, "sweep_scenario": str.lower}
 # Choice fields, read case-insensitively
 _CHOICES = ("model_kind", "scenario", "reduction_kind", "data_reduction", "filter_kind")
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}

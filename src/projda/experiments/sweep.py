@@ -1,9 +1,9 @@
 """Parameter sweeps over trials, with deterministic aggregation and CSV output.
 
-A sweep is the cartesian product of the configured axes, iterated with
-scenario outermost, then forcing, Q scale, r_p, and r_d innermost. Results
-are keyed by (point, trial), so the summary is identical for any worker
-count.
+A sweep is its points: config.sweep_points, the product of the axes in
+config._SWEEP_AXES (scenario outermost, then forcing, Q scale, r_p, and r_d
+innermost), each point checked when the config is. Results are keyed by
+(point, trial), so the summary is identical for any worker count.
 
 A sweep of N jobs runs in the calling process and N - 1 pool workers (fewer
 when there are fewer tasks): the caller is one of the workers, not a process
@@ -41,12 +41,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
 from ..errors import ConfigError
-from .config import ExperimentConfig, replace
+from .config import ExperimentConfig, _point, sweep_points
 from .metrics import MetricsRecord
 from .trial import TrialMemo, _file_inputs, run_trial
 
@@ -65,26 +65,6 @@ class SummaryRow:
     mean_rmse_proj: float
     resamp_pct: float
     failed_trials: int
-
-
-def _point(config: ExperimentConfig, **values) -> ExperimentConfig:
-    """config at one point: values set, the sweep axes cleared, and validated
-    as the point it is."""
-    return replace(config, **values, sweep_scenario=(), sweep_forcing=(),
-                   sweep_q_scale=(), sweep_r_p=(), sweep_r_d=())
-
-
-def sweep_points(config: ExperimentConfig) -> list[ExperimentConfig]:
-    """Expand the sweep axes; an axis left empty stays at its config value."""
-    points = []
-    for scenario in config.sweep_scenario or (config.scenario,):
-        for forcing in config.sweep_forcing or (config.forcing,):
-            for q_scale in config.sweep_q_scale or (config.q_scale,):
-                for r_p in config.sweep_r_p or (config.r_p,):
-                    for r_d in config.sweep_r_d or (config.r_d,):
-                        points.append(_point(config, scenario=scenario, forcing=forcing,
-                                             q_scale=q_scale, r_p=r_p, r_d=r_d))
-    return points
 
 
 # A pool worker's trial memo, opened by the worker's initializer and kept for
@@ -108,10 +88,11 @@ def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
     return _run_points([_point(config)], config.trials, jobs)[0]
 
 
-# (prefix, suffix) of the thread-count entry points: numpy's 64-bit-integer
-# wheel library, scipy's wheel library (loaded when a library caller imported
-# scipy), a system OpenBLAS
-_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
+# (prefix, suffix) pairs the thread-count entry points may take: numpy 2's
+# wheel library (scipy_openblas_, 64_), scipy's (scipy_openblas_, none; loaded
+# when a library caller imported scipy), numpy 1.x's (openblas_, 64_), a
+# system OpenBLAS (openblas_, none)
+_OPENBLAS_NAMES = tuple(product(("scipy_openblas_", "openblas_"), ("64_", "")))
 
 
 def _openblas_entry_points(verb: str) -> list:

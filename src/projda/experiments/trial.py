@@ -144,7 +144,8 @@ def _spin_up(model, x0, burn_in: int, training_steps: int = 0,
     snap_at = set(range(burn_in, total + 1, stride)) if stride else set()
     anchor_at = {total - j * spo for j in range(1, anchor_cycles + 1) if j * spo <= total}
     snaps, anchors = [], []
-    x = np.asarray(x0, dtype=float)
+    # a copy: a walk of no steps returns it, made read-only, not the caller's x0
+    x = np.array(x0, dtype=float)
     s = 0
     for mark in sorted(snap_at | anchor_at | {total}):
         if mark > s:

@@ -1,9 +1,10 @@
 """Lorenz-96 cyclic lattice model with fixed-step RK4 integration.
 
-A call of step(state, n), and of l96_rhs, runs in the buffers of one plan per
-state shape, built on first use and kept for the life of the process. Each
-returns one fresh array in its input's memory order; calls on one shape must
-not overlap (no threads). cycle_map is the call of steps_per_observation steps.
+A call of step(state, n) runs in the buffers of one plan per state shape,
+built on first use and kept for the life of the process. It returns one fresh
+array in its input's memory order, because later matrix products round
+differently on a different layout; calls on one shape must not overlap (no
+threads). cycle_map is the call of steps_per_observation steps.
 """
 
 from __future__ import annotations
@@ -13,19 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BlowupError
-
-
-def l96_rhs(u: np.ndarray, forcing: float) -> np.ndarray:
-    """du_i/dt = (u_{i+1} - u_{i-2}) u_{i-1} - u_i + F with cyclic indices.
-
-    Accepts a single state of shape (M,) or a batch of column states (M, k).
-    The result keeps the memory order of u, because later matrix products
-    round differently on a different layout.
-    """
-    u = np.asarray(u, dtype=float)
-    plan = _plan(u)
-    plan.stage[...] = u
-    return plan.tendency(forcing, np.empty_like(u))
 
 
 _PLANS: dict[tuple, "_StepPlan"] = {}
@@ -57,7 +45,8 @@ class _StepPlan:
         self.k = [np.zeros(shape) for _ in range(5)]  # k1..k4, scratch
 
     def tendency(self, forcing, out: np.ndarray) -> np.ndarray:
-        """The Lorenz-96 tendency of the stage state, into out."""
+        """The Lorenz-96 tendency of the stage state, into out:
+        du_i/dt = (u_{i+1} - u_{i-2}) u_{i-1} - u_i + F with cyclic indices."""
         for rows, source in self.wraps:
             rows[...] = source
         np.subtract(self.ip1, self.im2, out=out)
@@ -100,7 +89,7 @@ class L96Spec:
     dt: float = 0.01
     steps_per_observation: int = 5
 
-    # step and cycle_map return their input's memory order (see l96_rhs)
+    # step and cycle_map return their input's memory order (see the module docstring)
     keeps_order = True
 
     def __post_init__(self):

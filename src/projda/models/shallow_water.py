@@ -70,14 +70,6 @@ class SWESpec:
 
     # -- state packing -----------------------------------------------------
 
-    def split(self, state: np.ndarray):
-        """Flat (M,) state -> (u, v, h) fields of shape (ny, nx)."""
-        n = self.nx * self.ny
-        u = state[:n].reshape(self.ny, self.nx)
-        v = state[n:2 * n].reshape(self.ny, self.nx)
-        h = state[2 * n:].reshape(self.ny, self.nx)
-        return u, v, h
-
     def pack(self, u, v, h) -> np.ndarray:
         return np.concatenate([u.ravel(), v.ravel(), h.ravel()])
 

@@ -10,11 +10,13 @@ import dataclasses
 import functools
 import itertools
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import projda.experiments.trial as trial_module
 from projda.errors import ConfigError, ReductionError
@@ -36,7 +38,7 @@ from projda.experiments import (
     write_summary_csv,
     write_trial_csv,
 )
-from projda.models import save_snapshots
+from projda.models import L96Spec, save_snapshots
 from projda.experiments.config import _TABLE
 from projda.reduction import ReductionBasis, pod_basis, save_basis
 
@@ -45,6 +47,20 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def _blas_threads():
     return [get() for get in sweep._openblas_entry_points("get")]
+
+
+def _require_openblas():
+    """Skip where no library with openblas in its name is mapped into this
+    process; where one is, its thread-count entry points must be found."""
+    try:
+        lines = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        pytest.skip("/proc/self/maps is unreadable")
+    paths = [f[5] for f in (line.split(maxsplit=5) for line in lines) if len(f) == 6]
+    if not any("openblas" in os.path.basename(path) for path in paths):
+        pytest.skip("no OpenBLAS loaded")
+    assert sweep._openblas_entry_points("get"), (
+        "an OpenBLAS is mapped, but none of its thread-count entry points was found")
 
 
 def _report_blas_threads(chunk, memo=None):
@@ -209,6 +225,43 @@ class TestLoadConfig:
         path = tmp_path / "exp.ini"
         path.write_text("[model]\nkind = l96\n[reduction]\nsnapshot_file = run%1.bin\n")
         assert load_config(str(path)).snapshot_file == "run%1.bin"
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data_reduction=st.sampled_from(["model", "data"]),
+           training_steps=st.sampled_from([10, 20, 40]),
+           r_p=st.integers(-1, 10), r_d=st.integers(-1, 10),
+           sweep_r_p=st.lists(st.integers(-1, 10), max_size=3),
+           sweep_r_d=st.lists(st.integers(-1, 10), max_size=3))
+    def test_rank_sweep_loads_iff_every_point_meets_the_rank_rules(
+            self, tmp_path, data_reduction, training_steps, r_p, r_d, sweep_r_p, sweep_r_d):
+        # 8 states, all observed; the trial's own walk trains a POD state basis
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[model]\nkind = l96\ndimension = 8\n"
+            f"[reduction]\nkind = pod\nr_p = {r_p}\nr_d = {r_d}\n"
+            f"data_reduction = {data_reduction}\ntraining_steps = {training_steps}\n"
+            "training_stride = 5\n"
+            "[filter]\nkind = projoppf\nn_particles = 4\n"
+            "[experiment]\nburn_in = 50\n"
+            f"sweep_r_p = {', '.join(map(str, sweep_r_p))}\n"
+            f"sweep_r_d = {', '.join(map(str, sweep_r_d))}\n")
+        snapshots = training_steps // 5 + 1
+
+        def meets_rules(r_p, r_d):
+            # README "Configuration", the projected filters' rank rules
+            return (1 <= r_p <= 8 and r_d >= 1
+                    and r_d <= (r_p if data_reduction == "model" else 8)
+                    and snapshots >= max(r_p, 3)
+                    and (data_reduction == "model" or snapshots >= r_d))
+
+        valid = all(itertools.starmap(meets_rules, itertools.product(
+            sweep_r_p or [r_p], sweep_r_d or [r_d])))
+        if valid:
+            load_config(str(path))
+        else:
+            with pytest.raises(ConfigError, match=r"^\[reduction\] "):
+                load_config(str(path))
 
     def test_table_sets_every_field_from_one_key(self):
         keys = [name for section in _TABLE.values() for name in section.values()]
@@ -410,16 +463,14 @@ class TestSweep:
             "NumericsError: np.linalg.svd of a 8x9 matrix failed: SVD did not converge")
 
     def test_workers_get_their_share_of_blas_threads(self, monkeypatch):
-        if not sweep._openblas_entry_points("get"):
-            pytest.skip("no OpenBLAS loaded")
+        _require_openblas()
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         jobs = cpus = sweep._usable_cpus()
         assert _worker_blas_threads(monkeypatch, jobs) == {cpus // jobs}
 
     def test_caller_gets_its_blas_threads_back(self, monkeypatch):
-        if not sweep._openblas_entry_points("get"):
-            pytest.skip("no OpenBLAS loaded")
+        _require_openblas()
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         own = _blas_threads()
@@ -433,8 +484,7 @@ class TestSweep:
             sweep._set_blas_threads(own)
 
     def test_workers_keep_user_blas_threads(self, monkeypatch):
-        if not sweep._openblas_entry_points("get"):
-            pytest.skip("no OpenBLAS loaded")
+        _require_openblas()
         # the library read the variable when it loaded; the pool must not
         # override what it chose
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -463,6 +513,12 @@ class TestSweep:
 
 
 class TestSpinUpSharing:
+    def test_walk_of_no_steps_leaves_the_start_state_writeable(self):
+        x0 = np.arange(8.0)
+        x, _, _ = trial_module._spin_up(L96Spec(dimension=8), x0, 0, 0)
+        assert x0.flags.writeable and not x.flags.writeable
+        np.testing.assert_array_equal(x, np.arange(8.0))
+
     def test_sweep_walks_each_trial_once(self, monkeypatch, tmp_path):
         cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", sweep_r_p=(2, 3, 4))
         walks = _count_spin_ups(monkeypatch)

@@ -455,6 +455,25 @@ class TestCliErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
 
+    @pytest.mark.parametrize("command", ["assimilate", "truth", "lyapunov", "reduce", "sweep"])
+    def test_out_of_range_sweep_point_exits_2_for_every_command(self, tmp_path, capsys,
+                                                                command):
+        # the loader checks every sweep point, whichever command runs
+        ini = _write_ini(tmp_path, experiment_extra="sweep_r_p = 4, 9\n")
+        assert dispatch([command, "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: [reduction] r_p: "), lines
+
+    @pytest.mark.parametrize("command", ["assimilate", "truth", "lyapunov", "reduce"])
+    def test_out_of_range_swept_base_rank_exits_2_where_it_runs(self, tmp_path, capsys,
+                                                                 command):
+        # a sweep never runs the base r_p = 9 of its 8 states; these commands do
+        ini = Path(_write_ini(tmp_path, experiment_extra="sweep_r_p = 2, 4\n"))
+        ini.write_text(ini.read_text().replace("r_p = 4\n", "r_p = 9\n"))
+        assert dispatch([command, "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: [reduction] r_p: "), lines
+
     @pytest.mark.parametrize("section, body", [
         ("filter", "[filter]\ness_threshold = 2\n"),
         ("model", "[model]\ndimension = 3\n"),

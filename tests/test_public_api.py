@@ -22,7 +22,7 @@ import pytest
 import projda
 from projda import experiments, filters, models, numerics, reduction
 from projda.filters import ParticleEnsemble
-from projda.models import L96Spec, ObservationOperator, simulate
+from projda.models import L96Spec, ObservationOperator, SWESpec, lorenz96, simulate
 from projda.reduction import (
     OptimalProposal,
     ReducedModel,
@@ -37,18 +37,21 @@ REMOVED = [
     "matrix", "pinv_matrix", "project",
     "standard_pf_step", "oppf_step", "projected_resample_noise",
     "smoothed_noise_rows", "simulate_truth", "run_deterministic",
-    "step_rk4", "ReductionDriver", "pod_leading",
+    "step_rk4", "ReductionDriver", "pod_leading", "l96_rhs",
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
-OWNERS = [projda, models, simulate, numerics, filters, reduction, reduced_model, pod,
-          experiments, ObservationOperator, ReductionBasis, ReducedModel,
+OWNERS = [projda, models, lorenz96, simulate, numerics, filters, reduction, reduced_model,
+          pod, experiments, ObservationOperator, ReductionBasis, ReducedModel,
           ParticleEnsemble]
 # Names gone from one owner that keeps its other members: is_identity stays on
 # ReductionBasis, time_dependent was an attribute of every built basis,
-# L96Spec.rhs served only step_rk4 (l96_rhs stays), and only tests read
-# OptimalProposal.covariance (Q_p is the Gram matrix of sample_delta's factor).
+# L96Spec.rhs served only step_rk4, only tests read OptimalProposal.covariance
+# (Q_p is the Gram matrix of sample_delta's factor) and SWESpec.split, and
+# NoiseSpec is projda's and projda.numerics', not projda.models'.
 REMOVED_MEMBERS = [
     (L96Spec, "rhs"),
+    (SWESpec, "split"),
+    (models, "NoiseSpec"),
     (OptimalProposal, "covariance"),
     (ObservationOperator, "every_kth"),
     (ObservationOperator, "identity"),
