@@ -7,7 +7,9 @@ innermost), each point checked when the config is. Results are keyed by
 
 A sweep of N jobs runs in the calling process and N - 1 pool workers (fewer
 when there are fewer tasks): the caller is one of the workers, not a process
-that waits for them. The workers share the machine's cores. Unless the user
+that waits for them. The pool, and with it concurrent.futures.process and
+multiprocessing, loads when the first pool starts, so a run in one process
+never loads them. The workers share the machine's cores. Unless the user
 chose a thread count through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, each
 worker, the caller included, caps every OpenBLAS library it has loaded at its
 share of the usable CPUs, so the workers' multi-threaded matrix products and
@@ -38,7 +40,6 @@ import csv
 import ctypes
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product, repeat
@@ -180,8 +181,13 @@ def _execute(chunks, workers: int, blas_threads: int | None,
     starts from the files memo holds. With one worker there is no pool."""
     memo = TrialMemo() if memo is None else memo
     theirs = [chunk for i, chunk in enumerate(chunks) if i % workers]
-    pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_init_worker,
-                               initargs=(blas_threads, memo.files)) if theirs else None
+    pool = None
+    if theirs:
+        # imported here, so that a run without a pool never loads
+        # multiprocessing and its sockets, subprocess and queue modules
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_init_worker,
+                                   initargs=(blas_threads, memo.files))
     done = []
     try:
         # the first submission forks the workers, before this process grows

@@ -324,8 +324,10 @@ class _Trial:
         self.t += 1
         blocks = [self.x_truth]
         if self.time_dependent:
-            blocks.append(tangent_block(self.u.reconstruct(self.ensemble.mean()),
-                                        self.u.columns, self.config.aus_eps))
+            # kept for finish_cycle's basis step: the ensemble does not change
+            # in between
+            self.anchor = self.u.reconstruct(self.ensemble.mean())
+            blocks.append(tangent_block(self.anchor, self.u.columns, self.config.aus_eps))
         return blocks + [forecast_columns(self.u, self.ensemble.particles)]
 
     def finish_cycle(self, mapped: list):
@@ -340,8 +342,8 @@ class _Trial:
         y = observe(x_truth, self.h, self.r, rng.child(OBS_NOISE, t))
 
         if self.time_dependent:
-            u_next, _ = aus_step(self.model, self.u.reconstruct(self.ensemble.mean()),
-                                 self.u, eps=config.aus_eps, mapped=mapped[1])
+            u_next, _ = aus_step(self.model, self.anchor, self.u, eps=config.aus_eps,
+                                 mapped=mapped[1])
             self.reduced = build_reduced_model(
                 self.model, self.h, self.q, self.r,
                 u=self.u, u_out=u_next, v=u_next.leading(config.r_d), kind="model",

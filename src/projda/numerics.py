@@ -185,7 +185,11 @@ class NoiseSpec:
             raise ValueError("dense noise covariance must be square")
         if not np.all(np.isfinite(m)):
             raise ValueError("dense noise covariance has non-finite entries")
-        if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+        # np.allclose(m, m.T, rtol=1e-10, atol=1e-12) without its NaN and inf
+        # handling, which finite entries do not need, at about a quarter of its cost
+        tol = np.abs(m.T) * 1e-10
+        tol += 1e-12
+        if not (np.abs(m - m.T) <= tol).all():
             raise ValueError("dense noise covariance must be symmetric")
         return NoiseSpec(dim=m.shape[0], scale=float("nan"), matrix=m)
 

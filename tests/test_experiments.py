@@ -6,12 +6,12 @@ and neither depends on worker count or on whether snapshots come from a file
 or are regenerated.
 """
 
+import concurrent.futures
 import dataclasses
 import functools
 import itertools
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -454,8 +454,8 @@ class TestSweep:
     def test_unconverged_svd_fails_trials_not_the_sweep(self, monkeypatch, jobs):
         # the patch reaches pool workers only if they are forked
         monkeypatch.setattr(np.linalg, "svd", _no_convergence)
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", sweep_r_p=(3, 4))
         rows = run_sweep(cfg, jobs=jobs)
         assert [row.failed_trials for row in rows] == [cfg.trials, cfg.trials]
@@ -546,8 +546,8 @@ class TestSpinUpSharing:
             return walk(model, x0, *args)
 
         monkeypatch.setattr(trial_module, "_spin_up", logged)
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         run_sweep(cfg, jobs=2)
         starts = log.read_text().splitlines()
         assert len(starts) == len(set(starts)) == cfg.trials

@@ -6,12 +6,12 @@ below; every record of a lockstep group must equal it bit for bit. A failure
 in one trial of a group must leave its siblings as they are when run alone.
 """
 
+import concurrent.futures
 import functools
 import logging
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -280,8 +280,8 @@ def _lockstep_records(config, jobs: int = 1) -> dict:
 
 def _forked_pool(monkeypatch):
     """Pool workers forked from this process, so that they see its patches."""
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
 
 
 @pytest.mark.parametrize("truth_noise", [True, False], ids=["noise", "no-noise"])

@@ -154,6 +154,18 @@ class TestNoiseSpec:
         with pytest.raises(NumericsError):
             NoiseSpec.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))._factors()
 
+    @pytest.mark.parametrize("low", [0.0, 3.0, 2.0 ** 20])
+    def test_symmetry_tolerance_edge(self, low):
+        # an off-diagonal pair may differ by 1e-12 + 1e-10 |lower|, no more
+        # (np.allclose's rule, with the transpose as the reference)
+        bound = 1e-12 + 1e-10 * low
+        high = low + bound
+        while high - low > bound:
+            high = np.nextafter(high, low)
+        NoiseSpec.dense(np.array([[10.0, high], [low, 10.0]]))
+        with pytest.raises(ValueError, match="must be symmetric"):
+            NoiseSpec.dense(np.array([[10.0, np.nextafter(high, np.inf)], [low, 10.0]]))
+
 
 class TestTypedNumericsErrors:
     """Non-finite or non-SPD input is a NumericsError, so a sweep fails only

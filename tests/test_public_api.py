@@ -137,6 +137,28 @@ def test_a_run_loads_no_numpy_ma(tmp_path, kind):
     assert out.stdout.splitlines()[-1] == "False"
 
 
+def test_a_serial_run_loads_no_process_pool(tmp_path):
+    # the pool stack (multiprocessing, socket, selectors, subprocess, queue)
+    # adds about 1.4 MiB to a run's peak RSS; only a run that starts a pool
+    # loads it
+    (tmp_path / "tiny.ini").write_text(
+        "[model]\nkind = l96\ndimension = 8\n"
+        "[reduction]\nkind = pod\nr_p = 4\nr_d = 2\n"
+        "training_steps = 40\ntraining_stride = 5\n"
+        "[filter]\nkind = projoppf\nn_particles = 4\n"
+        "[experiment]\nn_observations = 3\ntrials = 2\nburn_in = 50\n"
+        "sweep_r_p = 3, 4\n")
+    out = _run_python("import sys\n"
+                      "from projda.cli import dispatch\n"
+                      "for command in ('assimilate', 'sweep'):\n"
+                      "    assert dispatch([command, '--config', 'tiny.ini',\n"
+                      "                     '--out', f'{command}.csv', '--jobs', '1']) == 0\n"
+                      "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+                      "             if m in sys.modules))\n", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_model_based_projoppf_runs_without_scipy():
     # a POD state basis and a model-based data reduction take the dense R^q,
     # weighting and proposal routes
