@@ -57,7 +57,7 @@ def _cmd_reduce(args, config):
 def _cmd_lyapunov(args, config):
     model = config.build_model()
     rng = RngStream(config.base_seed).child(0)
-    x, _, _ = _spin_up(model, _initial_state(config, model, rng), config.burn_in)
+    x, _ = _spin_up(model, _initial_state(config, model, rng), config.burn_in)
     exponents = lyapunov_spectrum(
         model, x, config.lyapunov_steps,
         min(config.lyapunov_exponents, model.dimension),

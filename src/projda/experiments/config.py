@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,18 +156,19 @@ class ExperimentConfig:
             raise bad("reduction", "kind", f"must be one of {_REDUCTION_KINDS}")
         if self.data_reduction not in _DATA_REDUCTIONS:
             raise bad("reduction", "data_reduction", f"must be one of {_DATA_REDUCTIONS}")
-        if not 0.0 < self.obs_fraction <= 1.0:
-            raise bad("observation", "fraction", "must lie in (0, 1]")
+        if not 0.0 < self.obs_fraction <= 1.0 or math.isinf(1.0 / self.obs_fraction):
+            raise bad("observation", "fraction", "must lie in (0, 1], 1/fraction finite")
         if self.model_kind == "l96" and self.scenario != "all":
             raise bad("observation", "scenario", "the cyclic model observes one variable; use 'all'")
         if self.model_kind == "swe" and self.scenario not in _SCENARIOS_SWE:
             raise bad("observation", "scenario", f"must be one of {_SCENARIOS_SWE}")
         if self.q_scale < 0 or self.r_scale < 0:
             raise bad("noise", "q_scale/r_scale", "must be nonnegative")
-        if self.uses_optimal_proposal and self.q_scale == 0:
-            raise bad("noise", "q_scale", "optimal-proposal filters need nonzero model noise")
-        if self.r_scale == 0:
-            raise bad("noise", "r_scale", "observation noise must be positive")
+        if self.uses_optimal_proposal and (self.q_scale == 0 or math.isinf(1.0 / self.q_scale)):
+            raise bad("noise", "q_scale", "optimal-proposal filters need nonzero model "
+                      "noise, 1/q_scale finite")
+        if self.r_scale == 0 or math.isinf(1.0 / self.r_scale):
+            raise bad("noise", "r_scale", "observation noise must be positive, 1/r_scale finite")
         if not self.uses_identity_reduction:
             if self.r_p < 1 or self.r_d < 1:
                 raise bad("reduction", "r_p/r_d", "must be positive")
@@ -246,9 +248,10 @@ def _point(config: ExperimentConfig, **values) -> ExperimentConfig:
 def sweep_points(config: ExperimentConfig) -> list[ExperimentConfig]:
     """Every point of the sweep, in the order of _SWEEP_AXES with the first
     axis outermost; an axis left empty stays at its config value."""
-    names = [name for name, _ in _SWEEP_AXES]
-    lists = [getattr(config, f"sweep_{name}") or (getattr(config, name),) for name in names]
-    return [_point(config, **dict(zip(names, values))) for values in itertools.product(*lists)]
+    lists = [getattr(config, f"sweep_{name}") or (getattr(config, name),)
+             for name in _SWEEP_AXES]
+    return [_point(config, **dict(zip(_SWEEP_AXES, values)))
+            for values in itertools.product(*lists)]
 
 
 # The dataclass defaults are the Lorenz-96 ones; the shallow-water model
@@ -280,11 +283,10 @@ def _keys(fields: str, **renamed) -> dict:
     return {**{name: name for name in fields.split()}, **renamed}
 
 
-# The sweep axes, outermost first: the field each sweep_<field> list sets, and
-# the parser of the list's items
-_SWEEP_AXES = (("scenario", str.lower), ("forcing", float), ("q_scale", float),
-               ("r_p", int), ("r_d", int))
-_SWEEP_ITEMS = {f"sweep_{name}": parse for name, parse in _SWEEP_AXES}
+# The sweep axes, outermost first: the field each sweep_<field> list sets,
+# whose parser reads the list's items
+_SWEEP_AXES = ("scenario", "forcing", "q_scale", "r_p", "r_d")
+_SWEEP_ITEMS = {f"sweep_{name}": name for name in _SWEEP_AXES}
 # [section] -> {key: field}; every ExperimentConfig field has exactly one key
 _TABLE = {
     "model": _keys("dimension forcing dt steps_per_observation nx ny dx dy gravity "
@@ -307,16 +309,19 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse(name: str, raw: str):
-    """The value of field name written as raw; ValueError if it is malformed.
-    The type is that of the field's default: bool, int, float or str."""
+    """The value of field name written as raw; ValueError if it is malformed
+    or, for a float, not finite. The type is that of the field's default:
+    bool, int, float or str; a sweep list's items are those of its axis."""
     if name in _SWEEP_ITEMS:
-        return tuple(_SWEEP_ITEMS[name](p.strip()) for p in raw.split(",") if p.strip())
+        return tuple(_parse(_SWEEP_ITEMS[name], p.strip()) for p in raw.split(",") if p.strip())
     kind = type(_DEFAULTS[name])
     if kind is bool:
         if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ValueError(f"not a boolean: {raw!r}")
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError("not a finite number")
     return value.lower() if name in _CHOICES else value
 
 

@@ -5,6 +5,9 @@ from RngStream(s).child(t), with fixed purpose indices below that (truth
 noise, observation noise, training, filter init, filter steps). Trials are
 therefore independent of execution order and of each other.
 
+A trial's truth ends a deterministic walk of burn_in + training_steps model
+steps; a time-dependent basis walks the last aus_spinup cycles of it itself.
+
 Trials run in lockstep groups. Each cycle a trial names the states it maps
 (its truth, the tangent block of a time-dependent basis, its particles), and
 the states of every trial of the group on one model go through a single
@@ -119,55 +122,49 @@ def _read(files: dict, path: str, load):
     return files[key]
 
 
-def _walk(config: ExperimentConfig) -> tuple:
-    """_spin_up's arguments after x0 for a trial: burn-in, training steps, the
-    snapshot stride (None when the trial trains on no in-trial snapshots) and
-    the basis spin-up window in observation cycles (0 when it needs none)."""
-    record_snaps = _snapshots_needed(config) > 0 and not config.snapshot_file
-    record_anchors = config.reduction_kind == "aus" and not config.uses_identity_reduction
-    return (config.burn_in, config.training_steps,
-            config.training_stride if record_snaps else None,
-            config.aus_spinup if record_anchors else 0)
-
-
-def _spin_up(model, x0, burn_in: int, training_steps: int = 0,
-             stride: int | None = None, anchor_cycles: int = 0):
+def _spin_up(model, x0, burn_in: int, training_steps: int = 0, stride: int | None = None):
     """Deterministic walk of burn_in + training_steps internal steps from x0.
 
-    Records the states at steps burn_in + k * stride when stride is given, and
-    the states one observation cycle apart within the last anchor_cycles cycles
-    (the basis spin-up anchors), with one model.step call from each recorded
-    state to the next. Returns (x_end, snapshots or None, anchors or None),
-    all read-only, as trials may share them."""
-    spo = model.steps_per_observation
+    Records the states at steps burn_in + k * stride when stride is given,
+    with one model.step call from each recorded state to the next. Returns
+    (x_end, snapshots or None), both read-only, as trials may share them."""
     total = burn_in + training_steps
     snap_at = set(range(burn_in, total + 1, stride)) if stride else set()
-    anchor_at = {total - j * spo for j in range(1, anchor_cycles + 1) if j * spo <= total}
-    snaps, anchors = [], []
+    snaps = []
     # a copy: a walk of no steps returns it, made read-only, not the caller's x0
     x = np.array(x0, dtype=float)
     s = 0
-    for mark in sorted(snap_at | anchor_at | {total}):
+    for mark in sorted(snap_at | {total}):
         if mark > s:
             x = model.step(x, mark - s)
             s = mark
         if mark in snap_at:
             snaps.append(x)
-        if mark in anchor_at:
-            anchors.append(x)
-    out = (x, np.asarray(snaps) if snaps else None, np.asarray(anchors) if anchors else None)
+    out = (x, np.asarray(snaps) if snaps else None)
     for arr in out:
         if arr is not None:
             arr.flags.writeable = False
     return out
 
 
+def _time_dependent(config: ExperimentConfig) -> bool:
+    """Whether config's trials re-derive their (unstable-subspace) basis every cycle."""
+    return config.reduction_kind == "aus" and not config.uses_identity_reduction
+
+
 def _shared_spin_up(config: ExperimentConfig, model, x0, spin_ups: dict):
     """_spin_up's result for a trial, taken from spin_ups when an earlier
-    trial walked from the same state with the same inputs. The walk always
-    covers burn_in + training_steps, so the truth is the same whatever the
-    reduction and filter."""
-    walk = _walk(config)
+    trial walked from the same state with the same inputs. The walk covers
+    burn_in + training_steps, less the last aus_spinup observation cycles of
+    a time-dependent basis, which _spin_up_aus walks in its tangent blocks;
+    so the truth is the same whatever the reduction and filter."""
+    if _time_dependent(config):
+        end = config.burn_in + config.training_steps
+        walk = (end - config.aus_spinup * model.steps_per_observation, 0, None)
+    else:
+        record = _snapshots_needed(config) > 0 and not config.snapshot_file
+        walk = (config.burn_in, config.training_steps,
+                config.training_stride if record else None)
     key = (model, x0.tobytes()) + walk
     walked = spin_ups.get(key)
     if walked is None:
@@ -182,8 +179,8 @@ def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
     rng = RngStream(config.base_seed).child(trial_index)
     model = config.build_model()
     x0 = _initial_state(config, model, rng)
-    _, states, _ = _spin_up(model, x0, config.burn_in, config.training_steps,
-                            config.training_stride)
+    _, states = _spin_up(model, x0, config.burn_in, config.training_steps,
+                         config.training_stride)
     meta = {
         "model": config.model_kind,
         "M": model.dimension,
@@ -219,12 +216,11 @@ def _state_basis(kind: str, snapshots: np.ndarray, r: int, dmd_rank: int,
     return dmd_basis(dmd(snapshots.T, rank=dmd_rank or None, dt=dt), r)
 
 
-def _bases(config: ExperimentConfig, model, h, q, r, snapshots, anchors,
-           rng: RngStream, memo: TrialMemo) -> tuple:
-    """The incoming basis of a trial's first cycle and its fixed reduced
-    model, None for the unstable-subspace basis, which is re-derived every
-    cycle. The config's snapshot_file and basis_file, where it uses them,
-    take the place of the in-trial snapshots and of the trained basis."""
+def _bases(config: ExperimentConfig, model, h, q, r, snapshots,
+           memo: TrialMemo) -> tuple:
+    """The fixed basis of a trial and its reduced model. The config's
+    snapshot_file and basis_file, where it uses them, take the place of the
+    in-trial snapshots and of the trained basis."""
     if config.uses_identity_reduction:
         reduced = identity_reduced_model(model, h, q, r)
         return reduced.basis_in, reduced
@@ -232,11 +228,8 @@ def _bases(config: ExperimentConfig, model, h, q, r, snapshots, anchors,
     file_snapshots, u_file = _file_inputs(config, model.dimension, memo.files)
     if file_snapshots is not None:
         snapshots = file_snapshots
-    kind = config.reduction_kind
-    if kind == "aus":
-        return _spin_up_aus(config, model, anchors, rng), None
     if u_file is None:
-        u = _state_basis(kind, snapshots, config.r_p, config.dmd_rank,
+        u = _state_basis(config.reduction_kind, snapshots, config.r_p, config.dmd_rank,
                          model.dt * config.training_stride)
     elif u_file.kind == "dmd":
         u = u_file  # its leading columns are not the lower-rank DMD basis
@@ -250,15 +243,19 @@ def _bases(config: ExperimentConfig, model, h, q, r, snapshots, anchors,
     return u, build_reduced_model(model, h, q, r, u, v, kind=config.data_reduction)
 
 
-def _spin_up_aus(config: ExperimentConfig, model, anchors, rng: RngStream) -> ReductionBasis:
-    """The unstable-subspace basis stepped from a random start through the anchors."""
+def _spin_up_aus(config: ExperimentConfig, model, x, rng: RngStream) -> tuple:
+    """(u, x_end): the unstable-subspace basis stepped from a random start
+    along the last aus_spinup observation cycles of the walk from x, and the
+    walk's end state. Each cycle maps x as column 0 of its tangent block."""
     gen = rng.child(TRAINING).generator()
     seed_mat = gen.standard_normal((model.dimension, config.r_p))
     q_mat, _ = qr_positive(seed_mat)
     u = ReductionBasis(q_mat, kind="aus", validate=False)
-    for anchor in anchors:
-        u, _ = aus_step(model, anchor, u, eps=config.aus_eps)
-    return u
+    for _ in range(config.aus_spinup):
+        mapped = model.cycle_map(tangent_block(x, u.columns, config.aus_eps))
+        u, _ = aus_step(model, x, u, eps=config.aus_eps, mapped=mapped)
+        x = mapped[:, 0].copy()
+    return u, x
 
 
 class _Trial:
@@ -284,11 +281,14 @@ class _Trial:
         self.fcfg = config.filter_config()
 
         x_init = _initial_state(config, model, rng)
-        self.x_truth, snapshots, anchors = _shared_spin_up(config, model, x_init,
-                                                           memo.spin_ups)
-        self.u, self.reduced = _bases(config, model, h, q, r, snapshots, anchors,
-                                      rng, memo)
-        self.time_dependent = self.reduced is None
+        x, snapshots = _shared_spin_up(config, model, x_init, memo.spin_ups)
+        self.time_dependent = _time_dependent(config)
+        if self.time_dependent:
+            self.u, x = _spin_up_aus(config, model, x, rng)
+            self.reduced = None
+        else:
+            self.u, self.reduced = _bases(config, model, h, q, r, snapshots, memo)
+        self.x_truth = x
         z0 = self.u.reduce(self.x_truth)
         q0 = conjugate_noise(q, self.u)
         self.ensemble = initialize_ensemble(z0, q0, config.n_particles,

@@ -4,12 +4,12 @@ Kaplan-Yorke dimension.
 One tangent recursion serves both uses, the discrete QR scheme of Benettin
 et al. (1980) that AUS reuses (Trevisan & Uboldi 2004): a block of directions
 is carried through a map by finite differences about a base point and
-re-orthonormalized by positive-diagonal QR. aus_step takes one such step
-through a model's cycle_map (one observation cycle); lyapunov_spectrum folds
-the same step over maps of qr_interval model steps, one model.step call
-each, and sums the log diagonal of T. tangent_block gives the block a step
-maps, so that a caller can map it together with other states and hand
-aus_step the result.
+re-orthonormalized by positive-diagonal QR. aus_step is that step, through a
+model's cycle_map (one observation cycle) unless the caller hands it the
+mapped block; lyapunov_spectrum repeats aus_step over maps of qr_interval
+model steps, one model.step call each, carries column 0 of each mapped block
+on as its base point, and sums the log diagonal of T. tangent_block gives the
+block a step maps, so that a caller can map it together with other states.
 """
 
 from __future__ import annotations
@@ -34,31 +34,21 @@ def tangent_block(x, columns, eps: float) -> np.ndarray:
     return np.concatenate([x[:, None], x[:, None] + _offset(x, eps) * columns], axis=1)
 
 
-def _tangent_qr(fblock, x, eps: float):
-    """The tangent step from the mapped block f([x, x + e U]).
-
-    The Jacobian action on the columns U is approximated by finite
-    differences, Z = [f(x + e U) - f(x)] / e column-wise, and
-    (Q, T) = qr_positive(Z). Returns (f(x), (Q, T)); a rank-deficient Z
-    raises ReductionError.
-    """
-    z = (fblock[:, 1:] - fblock[:, :1]) / _offset(x, eps)
-    try:
-        return fblock[:, 0], qr_positive(z)
-    except RankDeficiencyError as exc:
-        raise ReductionError(f"tangent basis collapsed: {exc}") from exc
-
-
 def aus_step(model, x, basis: ReductionBasis, eps: float = 1e-6, mapped=None):
-    """One step of the tangent recursion through model.cycle_map at the
-    trajectory point x: returns the next basis Q and the triangular factor T.
-    mapped, when given, is model.cycle_map of tangent_block(x, basis.columns,
-    eps), already taken (a lockstep trial maps it with its other states).
+    """One step of the tangent recursion at the trajectory point x: the next
+    basis Q and the triangular T of (Q, T) = qr_positive(Z), where
+    Z = [f(x + e U) - f(x)] / e column-wise approximates the Jacobian action
+    on the columns U. mapped, when given, is f of tangent_block(x,
+    basis.columns, eps), already taken; otherwise f is model.cycle_map.
     Raises ReductionError on basis collapse (rank-deficient Z)."""
     x = np.asarray(x, dtype=float)
     if mapped is None:
         mapped = model.cycle_map(tangent_block(x, basis.columns, eps))
-    _, (q, t) = _tangent_qr(mapped, x, eps)
+    z = (mapped[:, 1:] - mapped[:, :1]) / _offset(x, eps)
+    try:
+        q, t = qr_positive(z)
+    except RankDeficiencyError as exc:
+        raise ReductionError(f"tangent basis collapsed: {exc}") from exc
     return ReductionBasis(q, kind="aus", validate=False), t
 
 
@@ -66,11 +56,12 @@ def lyapunov_spectrum(model, x0, n_steps: int, p: int, eps: float = 1e-6,
                       qr_interval: int = 10) -> np.ndarray:
     """Leading p Lyapunov exponents of the model's internal step map.
 
-    The tangent recursion of aus_step, started from the first p coordinate
-    axes, over maps of qr_interval model steps taken by one model.step call
-    (the last one shorter when n_steps is not a multiple); the exponents are
-    the accumulated log diagonal of T divided by the elapsed time
-    n_steps * model.dt. Returned sorted descending.
+    aus_step repeated from the first p coordinate axes, over maps of
+    qr_interval model steps taken by one model.step call (the last one
+    shorter when n_steps is not a multiple), with column 0 of each mapped
+    block the next base point; the exponents are the accumulated log
+    diagonal of T divided by the elapsed time n_steps * model.dt. Returned
+    sorted descending.
     """
     x = np.asarray(x0, dtype=float)
     m = x.size
@@ -79,15 +70,16 @@ def lyapunov_spectrum(model, x0, n_steps: int, p: int, eps: float = 1e-6,
     if n_steps < 1 or qr_interval < 1:
         raise ValueError("n_steps and qr_interval must be >= 1")
 
-    q = np.eye(m, p)
+    basis = ReductionBasis(np.eye(m, p), kind="aus", validate=False)
     log_sums = np.zeros(p)
     for start in range(0, n_steps, qr_interval):
         stop = min(start + qr_interval, n_steps)
-        block = model.step(tangent_block(x, q, eps), stop - start)
+        block = model.step(tangent_block(x, basis.columns, eps), stop - start)
         try:
-            x, (q, t) = _tangent_qr(block, x, eps)
+            basis, t = aus_step(model, x, basis, eps, mapped=block)
         except ReductionError as exc:
             raise ReductionError(f"at step {stop - 1}, {exc}") from exc
+        x = block[:, 0]
         log_sums += np.log(np.diag(t))
 
     exponents = log_sums / (n_steps * model.dt)

@@ -426,32 +426,54 @@ class TestCliErrors:
         assert dispatch(["assimilate", "--config", str(ini)]) == 2
         assert "dimension" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, reduction_extra, experiment_extra, argv", [
-        ("[reduction] aus_eps", "aus_eps = 0\naus_spinup = 8\n", "",
+    @pytest.mark.parametrize("key, extra, argv", [
+        ("[reduction] aus_eps", {"reduction": "aus_eps = 0\naus_spinup = 8\n"},
          ["assimilate", "--kind", "aus"]),
-        ("[reduction] aus_spinup", "aus_spinup = 0\n", "", ["assimilate", "--kind", "aus"]),
-        ("[reduction] dmd_rank", "dmd_rank = -2\n", "", ["assimilate", "--kind", "dmd"]),
-        ("[experiment] lyapunov_qr_interval", "", "lyapunov_qr_interval = 0\n",
+        ("[reduction] aus_spinup", {"reduction": "aus_spinup = 0\n"},
+         ["assimilate", "--kind", "aus"]),
+        ("[reduction] dmd_rank", {"reduction": "dmd_rank = -2\n"},
+         ["assimilate", "--kind", "dmd"]),
+        ("[experiment] lyapunov_qr_interval", {"experiment": "lyapunov_qr_interval = 0\n"},
          ["lyapunov"]),
-        ("[experiment] lyapunov_eps", "", "lyapunov_eps = 0\n", ["lyapunov"]),
+        ("[experiment] lyapunov_eps", {"experiment": "lyapunov_eps = 0\n"}, ["lyapunov"]),
         # ranks above the state (8) or observed (8) dimension used to pass the
         # loader and then fail every trial
-        ("[reduction] r_p", "", "", ["assimilate", "--r", "9"]),
-        ("[reduction] r_p", "", "sweep_r_p = 4, 9\n", ["sweep"]),
-        ("[reduction] r_d", "data_reduction = data\n", "", ["assimilate", "--rd", "9"]),
-        ("[reduction] r_d", "data_reduction = data\n", "sweep_r_d = 2, 9\n", ["sweep"]),
+        ("[reduction] r_p", {}, ["assimilate", "--r", "9"]),
+        ("[reduction] r_p", {"experiment": "sweep_r_p = 4, 9\n"}, ["sweep"]),
+        ("[reduction] r_d", {"reduction": "data_reduction = data\n"},
+         ["assimilate", "--rd", "9"]),
+        ("[reduction] r_d", {"reduction": "data_reduction = data\n",
+                             "experiment": "sweep_r_d = 2, 9\n"}, ["sweep"]),
         # assimilate runs the base rank, which a sweep never runs
-        ("[reduction] r_p", "", "sweep_r_p = 2, 4\n", ["assimilate", "--r", "9"]),
+        ("[reduction] r_p", {"experiment": "sweep_r_p = 2, 4\n"}, ["assimilate", "--r", "9"]),
+        # non-finite values used to pass the loader and then fail every trial
+        ("[noise] q_scale", {"noise": "q_scale = nan\n"}, ["assimilate"]),
+        ("[model] forcing", {"model": "forcing = inf\n"}, ["assimilate"]),
+        ("[model] dt", {"model": "dt = nan\n"}, ["assimilate"]),
+        ("[filter] resample_omega", {"filter": "resample_omega = inf\n"}, ["assimilate"]),
+        ("[reduction] aus_eps", {"reduction": "aus_eps = inf\naus_spinup = 8\n"},
+         ["assimilate", "--kind", "aus"]),
+        ("[experiment] sweep_q_scale", {"experiment": "sweep_q_scale = 0.1, nan\n"},
+         ["sweep"]),
+        # values whose reciprocal overflows
+        ("[observation] fraction", {"observation": "fraction = 5e-324\n"}, ["truth"]),
+        ("[noise] r_scale", {"noise": "r_scale = 1e-320\n"}, ["assimilate"]),
+        ("[noise] q_scale", {"noise": "q_scale = 1e-320\n"}, ["assimilate"]),
     ], ids=["aus_eps", "aus_spinup", "dmd_rank", "lyapunov_qr_interval", "lyapunov_eps",
             "r_p_assimilate", "r_p_sweep", "r_d_assimilate", "r_d_sweep",
-            "r_p_assimilate_swept"])
-    def test_out_of_range_key_exits_2_with_one_line(self, tmp_path, capsys, key,
-                                                    reduction_extra, experiment_extra,
+            "r_p_assimilate_swept", "q_scale_nan", "forcing_inf", "dt_nan",
+            "resample_omega_inf", "aus_eps_inf", "sweep_q_scale_nan",
+            "fraction_reciprocal", "r_scale_reciprocal", "q_scale_reciprocal"])
+    def test_out_of_range_key_exits_2_with_one_line(self, tmp_path, capsys, key, extra,
                                                     argv):
-        ini = _write_ini(tmp_path, reduction_extra=reduction_extra,
-                         experiment_extra="lyapunov_steps = 20\n" + experiment_extra)
+        ini = Path(_write_ini(tmp_path, experiment_extra="lyapunov_steps = 20\n"))
+        text = ini.read_text()
+        for section, lines in extra.items():
+            header = f"[{section}]\n"
+            text = text.replace(header, header + lines) if header in text else text + header + lines
+        ini.write_text(text)
         out = str(tmp_path / "out.csv")
-        assert dispatch(argv + ["--config", ini, "--out", out]) == 2
+        assert dispatch(argv + ["--config", str(ini), "--out", out]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
 

@@ -29,7 +29,7 @@ from projda.experiments import (
     sweep,
     training_trajectory,
 )
-from projda.experiments.config import ExperimentConfig
+from projda.experiments.config import ExperimentConfig, _snapshots_needed
 from projda.experiments.trial import (
     TrialMemo,
     _file_inputs,
@@ -65,6 +65,19 @@ from projda.reduction.reduced_model import conjugate_noise
 logger = logging.getLogger("projda.experiments")
 
 
+def _reference_walk(config) -> tuple:
+    """_reference_spin_up's arguments after x0 for a trial, as the walk of
+    run_trial before the basis spin-up walked its own cycles: burn-in,
+    training steps, the snapshot stride (None when the trial trains on no
+    in-trial snapshots) and the basis spin-up window in observation cycles
+    (0 when it needs none)."""
+    record_snaps = _snapshots_needed(config) > 0 and not config.snapshot_file
+    record_anchors = config.reduction_kind == "aus" and not config.uses_identity_reduction
+    return (config.burn_in, config.training_steps,
+            config.training_stride if record_snaps else None,
+            config.aus_spinup if record_anchors else 0)
+
+
 def _reference_spin_up(model, x0, burn_in, training_steps, stride, anchor_cycles):
     """_spin_up as it walked before it took one model.step call from each
     recorded state to the next: one call per step."""
@@ -86,12 +99,12 @@ def _reference_spin_up(model, x0, burn_in, training_steps, stride, anchor_cycles
 def _reference_trial(config, trial_index: int) -> MetricsRecord:
     """The body of run_trial before lockstep, verbatim but for three marked
     adaptations: the spin-up is _reference_spin_up above, a walk of single
-    steps without a memo of shared walks, the driver's incoming basis is
-    named u (the parent's initial_basis), and the driver is ReductionDriver
-    below, the class run_trial used before lockstep folded it into its
-    trials. ReductionDriver.advance(ensemble) without a
-    mapped block and the filter steps without fz map their states themselves,
-    as the parent's did."""
+    steps that records the basis spin-up anchors, without a memo of shared
+    walks, the driver's incoming basis is named u (the parent's
+    initial_basis), and the driver is ReductionDriver below, the class
+    run_trial used before lockstep folded it into its trials.
+    ReductionDriver.advance(ensemble) without a mapped block and the filter
+    steps without fz map their states themselves, as the parent's did."""
     rng = RngStream(config.base_seed).child(trial_index)
     model = config.build_model()
     h = config.build_observation(model)
@@ -104,7 +117,7 @@ def _reference_trial(config, trial_index: int) -> MetricsRecord:
     try:
         x_init = _initial_state(config, model, rng)
         x_start, snapshots, anchors = _reference_spin_up(  # adapted
-            model, x_init, *trial_module._walk(config))
+            model, x_init, *_reference_walk(config))
         driver = ReductionDriver(config, model, h, q, r, snapshots, anchors, rng)  # adapted
 
         z0 = driver.u.reduce(x_start)  # adapted
@@ -300,17 +313,17 @@ def test_records_equal_the_per_trial_loop(model, reduction, proposal, truth_nois
     assert len(grouped) == 2 * config.trials
 
 
-@pytest.mark.parametrize("burn_in, training_steps, stride, anchor_cycles", [
-    (0, 0, None, 0), (0, 0, 1, 0), (7, 0, None, 0), (0, 12, 3, 0), (5, 20, 4, 0),
-    (5, 21, 4, 0), (13, 40, 7, 3), (10, 10, 5, 4), (0, 20, 1, 4), (3, 17, None, 2),
+@pytest.mark.parametrize("burn_in, training_steps, stride", [
+    (0, 0, None), (0, 0, 1), (7, 0, None), (0, 12, 3), (5, 20, 4), (5, 21, 4),
+    (13, 40, 7), (0, 20, 1), (3, 17, None),
 ])
 def test_spin_up_equals_the_walk_of_single_steps(monkeypatch, burn_in, training_steps,
-                                                 stride, anchor_cycles):
-    # snapshots and anchors interleave, share steps, start the walk or end it
+                                                 stride):
+    # snapshots start the walk or end it, or stop short of its end
     model = L96Spec(dimension=8, steps_per_observation=5)
     x0 = model.default_state()
-    walk = (burn_in, training_steps, stride, anchor_cycles)
-    expect = _reference_spin_up(model, x0, *walk)
+    walk = (burn_in, training_steps, stride)
+    expect = _reference_spin_up(model, x0, *walk, 0)[:2]
     counts = []
     step = L96Spec.step
 
@@ -320,6 +333,7 @@ def test_spin_up_equals_the_walk_of_single_steps(monkeypatch, burn_in, training_
 
     monkeypatch.setattr(L96Spec, "step", counted)
     got = _spin_up(model, x0, *walk)
+    assert len(got) == 2
     for a, b in zip(got, expect):
         assert (a is None) == (b is None)
         assert a is None or (np.array_equal(a, b) and not a.flags.writeable)
@@ -327,9 +341,7 @@ def test_spin_up_equals_the_walk_of_single_steps(monkeypatch, burn_in, training_
     recorded = {0, burn_in + training_steps}
     if stride:
         recorded |= set(range(burn_in, burn_in + training_steps + 1, stride))
-    recorded |= {burn_in + training_steps - j * model.steps_per_observation
-                 for j in range(1, anchor_cycles + 1)}
-    marks = sorted(m for m in recorded if m >= 0)
+    marks = sorted(recorded)
     assert counts == [b - a for a, b in zip(marks, marks[1:]) if b > a]
 
 

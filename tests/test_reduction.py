@@ -283,6 +283,34 @@ def _benettin_reference(model, x0, n_steps, p, eps=1e-6, qr_interval=10):
     return np.sort(exponents)[::-1]
 
 
+def _tangent_qr_reference(model, x0, n_steps, p, eps=1e-6, qr_interval=10):
+    """The loop lyapunov_spectrum ran before aus_step became its QR step: one
+    model.step call per interval, then its own finite-difference QR, kept
+    verbatim as the bit-for-bit reference."""
+    def tangent_qr(fblock, x):
+        z = (fblock[:, 1:] - fblock[:, :1]) / (eps * max(np.linalg.norm(x), 1.0))
+        try:
+            return fblock[:, 0], qr_positive(z)
+        except RankDeficiencyError as exc:
+            raise ReductionError(f"tangent basis collapsed: {exc}") from exc
+
+    x = np.asarray(x0, dtype=float)
+    q = np.eye(x.size, p)
+    log_sums = np.zeros(p)
+    for start in range(0, n_steps, qr_interval):
+        stop = min(start + qr_interval, n_steps)
+        e = eps * max(np.linalg.norm(x), 1.0)
+        block = np.concatenate([x[:, None], x[:, None] + e * q], axis=1)
+        block = model.step(block, stop - start)
+        try:
+            x, (q, t) = tangent_qr(block, x)
+        except ReductionError as exc:
+            raise ReductionError(f"at step {stop - 1}, {exc}") from exc
+        log_sums += np.log(np.diag(t))
+    exponents = log_sums / (n_steps * model.dt)
+    return np.sort(exponents)[::-1]
+
+
 class TestSpectrumMatchesBenettinLoop:
     @pytest.fixture(scope="class")
     def l96(self):
@@ -305,6 +333,20 @@ class TestSpectrumMatchesBenettinLoop:
         x0 = model.default_jet_state()
         lam = lyapunov_spectrum(model, x0, n_steps=53, p=6)
         assert np.array_equal(lam, _benettin_reference(model, x0, 53, 6))
+
+    @pytest.mark.parametrize("p, n_steps, qr_interval", [(34, 3003, 10), (7, 101, 4)])
+    def test_l96_equals_the_tangent_qr_loop(self, l96, p, n_steps, qr_interval):
+        model, x0 = l96
+        lam = lyapunov_spectrum(model, x0, n_steps, p, qr_interval=qr_interval)
+        ref = _tangent_qr_reference(model, x0, n_steps, p, qr_interval=qr_interval)
+        assert np.array_equal(lam, ref)
+
+    def test_swe_partial_last_interval_equals_the_tangent_qr_loop(self):
+        model = SWESpec(nx=8, ny=8)
+        x0 = model.default_jet_state()
+        lam = lyapunov_spectrum(model, x0, n_steps=57, p=6, qr_interval=20)
+        ref = _tangent_qr_reference(model, x0, 57, 6, qr_interval=20)
+        assert np.array_equal(lam, ref)
 
 
 class TestConjugateNoise:
