@@ -14,6 +14,7 @@ import configparser
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,10 @@ class ExperimentConfig:
         def bad(section, key, msg):
             return ConfigError(f"[{section}] {key}: {msg}")
 
+        # NaN passes every range check below
+        for section, key, value in _floats(self):
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise bad(section, key, f"must be finite, got {value}")
         if self.model_kind == "swe" and self.sweep_forcing:
             raise bad("experiment", "sweep_forcing", "forcing applies to the l96 model only")
         if self.model_kind == "l96" and self.sweep_scenario:
@@ -218,6 +223,17 @@ class ExperimentConfig:
                           f"data-based reduction needs r_d <= the {h.data_dim} observed "
                           f"components, got {self.r_d}")
         return self
+
+
+def _floats(config: ExperimentConfig):
+    """(section, key, value) of each float field of config and of each item
+    of a float sweep list, in _TABLE order; an item names its sweep key."""
+    for section, keys in _TABLE.items():
+        for key, name in keys.items():
+            if type(_DEFAULTS[_SWEEP_ITEMS.get(name, name)]) is float:
+                values = getattr(config, name)
+                for value in values if name in _SWEEP_ITEMS else (values,):
+                    yield section, key, value
 
 
 def _component(section: str, build, *args):
@@ -309,9 +325,10 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse(name: str, raw: str):
-    """The value of field name written as raw; ValueError if it is malformed
-    or, for a float, not finite. The type is that of the field's default:
-    bool, int, float or str; a sweep list's items are those of its axis."""
+    """The value of field name written as raw; ValueError if it is malformed.
+    The type is that of the field's default: bool, int, float or str; a sweep
+    list's items are those of its axis. Ranges, finiteness among them, are
+    validate's."""
     if name in _SWEEP_ITEMS:
         return tuple(_parse(_SWEEP_ITEMS[name], p.strip()) for p in raw.split(",") if p.strip())
     kind = type(_DEFAULTS[name])
@@ -320,8 +337,6 @@ def _parse(name: str, raw: str):
             raise ValueError(f"not a boolean: {raw!r}")
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     value = kind(raw)
-    if kind is float and not math.isfinite(value):
-        raise ValueError("not a finite number")
     return value.lower() if name in _CHOICES else value
 
 

@@ -21,17 +21,19 @@ threaded.
 
 The tasks go out in chunks, and the (point, trial) tasks of a chunk run as
 one lockstep group (see trial.py): each cycle maps the states of all of them
-through one model call. Within one process, trials that start from the same
-state with the same spin-up inputs (the same trial at different r_p or r_d,
-say) walk the truth once, the first walk being kept for the rest of the
-sweep. Each input file is read once: the caller reads them all before any
-trial, and pool workers start from what it read. Under several workers a
-sweep hands out whole trials (all points of one trial: one walk, one group)
-as long as every worker gets one; only the trials left over from an even
-share are split point by point among the workers, so that no worker idles
-while another runs a trial alone. Of the chunks, the caller runs the first
-and every P-th after it, P being the process count, and the pool the
-others. The results never depend on it.
+through one model call. Before any trial, and before the pool starts, the
+calling process reads every input file and walks every distinct truth of the
+run once. Trials that start from the same state with the same spin-up inputs
+(the same trial at different r_p or r_d, say) share a walk, and the distinct
+start states of one model and walk go as the columns of one block. Every
+trial, in the caller or in a pool worker, starts from those files and walks;
+a forked worker also inherits numpy.random, which the Lorenz-96 start states
+load. Under several workers a sweep hands out whole trials (all points of
+one trial, one group) as long as every worker gets one; only the trials left
+over from an even share are split point by point among the workers, so that
+no worker idles while another runs a trial alone. Of the chunks, the caller
+runs the first and every P-th after it, P being the process count, and the
+pool the others. The results never depend on it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 from ..errors import ConfigError
 from .config import ExperimentConfig, _point, sweep_points
 from .metrics import MetricsRecord
-from .trial import TrialMemo, _file_inputs, run_trial
+from .trial import TrialMemo, _file_inputs, _walk_ahead, run_trial
 
 logger = logging.getLogger("projda.experiments")
 
@@ -164,9 +166,9 @@ def _blas_threads_capped(n_threads: int | None):
         _set_blas_threads(before)
 
 
-def _init_worker(blas_threads: int | None, files: dict):
+def _init_worker(blas_threads: int | None, files: dict, spin_ups: dict):
     global _worker_memo
-    _worker_memo = TrialMemo(files=files)
+    _worker_memo = TrialMemo(spin_ups=spin_ups, files=files)
     if blas_threads is not None:
         _set_blas_threads(repeat(blas_threads))
 
@@ -178,7 +180,8 @@ def _execute(chunks, workers: int, blas_threads: int | None,
     blas_threads BLAS threads while the pool runs (see _pool_shape). This
     process runs every workers-th list, the first included, with memo (a new
     one by default); a pool worker takes one of the other lists at a time and
-    starts from the files memo holds. With one worker there is no pool."""
+    starts from the walks and files memo holds. With one worker there is no
+    pool."""
     memo = TrialMemo() if memo is None else memo
     theirs = [chunk for i, chunk in enumerate(chunks) if i % workers]
     pool = None
@@ -187,7 +190,7 @@ def _execute(chunks, workers: int, blas_threads: int | None,
         # multiprocessing and its sockets, subprocess and queue modules
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_init_worker,
-                                   initargs=(blas_threads, memo.files))
+                                   initargs=(blas_threads, memo.files, memo.spin_ups))
     done = []
     try:
         # the first submission forks the workers, before this process grows
@@ -240,11 +243,13 @@ def _run_points(points: list[ExperimentConfig], trials: int, jobs: int) -> list[
     """The records of trials 0 .. trials - 1 of each point, in trial order,
     run by up to jobs processes, this one included. Every point's input files
     are read first, so that a bad file stops the run with one ReductionError
-    before any trial; every process's trials reuse what was read."""
+    before any trial; then every trial's truth is walked (see _walk_ahead).
+    Every process's trials reuse what was read and walked."""
     workers, blas_threads = _pool_shape(jobs, len(points) * trials)
     memo = TrialMemo()
     for cfg in points:
         _file_inputs(cfg, cfg.build_model().dimension, memo.files)
+    _walk_ahead([(cfg, t) for cfg in points for t in range(trials)], memo.spin_ups)
     chunks = [[(p, t, points[p]) for p, t in chunk]
               for chunk in _trial_chunks(len(points), trials, workers)]
     logger.info("sweep: %d points x %d trials, %d worker(s), BLAS threads per worker: %s",

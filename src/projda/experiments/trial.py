@@ -7,6 +7,10 @@ therefore independent of execution order and of each other.
 
 A trial's truth ends a deterministic walk of burn_in + training_steps model
 steps; a time-dependent basis walks the last aus_spinup cycles of it itself.
+Trials that walk from the same state with the same inputs share one walk
+(TrialMemo.spin_ups), and _walk_ahead walks the distinct start states of
+many trials on one model as the columns of one block; a column of a block
+walks as it would alone.
 
 Trials run in lockstep groups. Each cycle a trial names the states it maps
 (its truth, the tangent block of a time-dependent basis, its particles), and
@@ -123,28 +127,41 @@ def _read(files: dict, path: str, load):
 
 
 def _spin_up(model, x0, burn_in: int, training_steps: int = 0, stride: int | None = None):
-    """Deterministic walk of burn_in + training_steps internal steps from x0.
+    """Deterministic walk of burn_in + training_steps internal steps from x0,
+    a state or a block whose columns are states, each column walked as it
+    would be alone.
 
     Records the states at steps burn_in + k * stride when stride is given,
     with one model.step call from each recorded state to the next. Returns
-    (x_end, snapshots or None), both read-only, as trials may share them."""
+    (x_end, snapshots or None) for a state, and a list of those pairs, one
+    per column, for a block; every array is read-only, as trials may share
+    them."""
     total = burn_in + training_steps
-    snap_at = set(range(burn_in, total + 1, stride)) if stride else set()
-    snaps = []
+    snap_at = range(burn_in, total + 1, stride) if stride else range(0)
     # a copy: a walk of no steps returns it, made read-only, not the caller's x0
     x = np.array(x0, dtype=float)
+    m = len(x)
+    # each column's snapshots, written as they are reached
+    snaps = np.empty((x.size // m, len(snap_at), m))
     s = 0
-    for mark in sorted(snap_at | {total}):
+    for mark in sorted({*snap_at, total}):
         if mark > s:
             x = model.step(x, mark - s)
             s = mark
         if mark in snap_at:
-            snaps.append(x)
-    out = (x, np.asarray(snaps) if snaps else None)
-    for arr in out:
+            snaps[:, snap_at.index(mark)] = x.reshape(m, -1).T
+    if x.ndim == 1:
+        return _read_only(x, snaps[0] if stride else None)
+    return [_read_only(x[:, j].copy(), snaps[j] if stride else None)
+            for j in range(x.shape[1])]
+
+
+def _read_only(*arrays) -> tuple:
+    """arrays, each but a None made read-only."""
+    for arr in arrays:
         if arr is not None:
             arr.flags.writeable = False
-    return out
+    return arrays
 
 
 def _time_dependent(config: ExperimentConfig) -> bool:
@@ -152,12 +169,13 @@ def _time_dependent(config: ExperimentConfig) -> bool:
     return config.reduction_kind == "aus" and not config.uses_identity_reduction
 
 
-def _shared_spin_up(config: ExperimentConfig, model, x0, spin_ups: dict):
-    """_spin_up's result for a trial, taken from spin_ups when an earlier
-    trial walked from the same state with the same inputs. The walk covers
-    burn_in + training_steps, less the last aus_spinup observation cycles of
-    a time-dependent basis, which _spin_up_aus walks in its tangent blocks;
-    so the truth is the same whatever the reduction and filter."""
+def _spin_up_key(config: ExperimentConfig, model, x0) -> tuple:
+    """(model, x0's bytes, burn_in, training_steps, stride): the walk a trial
+    of config takes from x0, its last three items _spin_up's arguments after
+    x0. The walk covers burn_in + training_steps, less the last aus_spinup
+    observation cycles of a time-dependent basis, which _spin_up_aus walks in
+    its tangent blocks; so the truth is the same whatever the reduction and
+    filter."""
     if _time_dependent(config):
         end = config.burn_in + config.training_steps
         walk = (end - config.aus_spinup * model.steps_per_observation, 0, None)
@@ -165,11 +183,45 @@ def _shared_spin_up(config: ExperimentConfig, model, x0, spin_ups: dict):
         record = _snapshots_needed(config) > 0 and not config.snapshot_file
         walk = (config.burn_in, config.training_steps,
                 config.training_stride if record else None)
-    key = (model, x0.tobytes()) + walk
+    return (model, x0.tobytes()) + walk
+
+
+def _shared_spin_up(config: ExperimentConfig, model, x0, spin_ups: dict):
+    """_spin_up's result for a trial of config from x0, taken from spin_ups
+    when it holds that walk (see _spin_up_key), else walked and kept there."""
+    key = _spin_up_key(config, model, x0)
     walked = spin_ups.get(key)
     if walked is None:
-        walked = spin_ups[key] = _spin_up(model, x0, *walk)
+        walked = spin_ups[key] = _spin_up(model, x0, *key[2:])
     return walked
+
+
+def _walk_ahead(tasks, spin_ups: dict):
+    """Keep in spin_ups, under each (config, trial_index) task, the walk its
+    trial takes, which the trial then neither draws nor walks again. Tasks
+    that walk from the same start state share a walk, and the distinct start
+    states of one model and walk go as the columns of one block. A task
+    whose start state cannot be built, or whose block fails to walk, gets no
+    walk here; its trial walks alone in set-up, so that a failure and its
+    message are its own."""
+    blocks: dict = {}
+    for task in tasks:
+        config, trial_index = task
+        try:
+            model = config.build_model()
+            x0 = _initial_state(config, model, RngStream(config.base_seed).child(trial_index))
+        except Exception:
+            continue
+        key = _spin_up_key(config, model, x0)
+        starts = blocks.setdefault((model,) + key[2:], {})  # start state -> (x0, tasks)
+        starts.setdefault(key[1], (x0, []))[1].append(task)
+    for (model, *walk), starts in blocks.items():
+        try:
+            walked = _spin_up(model, np.stack([x0 for x0, _ in starts.values()], axis=1), *walk)
+        except Exception:
+            continue
+        for (_, group), pair in zip(starts.values(), walked):
+            spin_ups.update(dict.fromkeys(group, pair))
 
 
 def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
@@ -195,7 +247,8 @@ def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
 @dataclass
 class TrialMemo:
     """What the trials of one process share: deterministic walks (spin_ups,
-    see _shared_spin_up), input files by path (files, see _file_inputs), and
+    by walk, see _shared_spin_up, and by (config, trial_index) for the trials
+    _walk_ahead walked), input files by path (files, see _file_inputs), and
     a lockstep group, the (config, trial_index) pairs registered to run
     together (group) with the records it finished ahead of their run_trial
     calls (records)."""
@@ -280,8 +333,11 @@ class _Trial:
         self.r = r = NoiseSpec.scaled_identity(h.data_dim, config.r_scale)
         self.fcfg = config.filter_config()
 
-        x_init = _initial_state(config, model, rng)
-        x, snapshots = _shared_spin_up(config, model, x_init, memo.spin_ups)
+        walked = memo.spin_ups.get((config, self.trial_index))
+        if walked is None:
+            x_init = _initial_state(config, model, rng)
+            walked = _shared_spin_up(config, model, x_init, memo.spin_ups)
+        x, snapshots = walked
         self.time_dependent = _time_dependent(config)
         if self.time_dependent:
             self.u, x = _spin_up_aus(config, model, x, rng)

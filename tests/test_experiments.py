@@ -12,6 +12,9 @@ import functools
 import itertools
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -76,18 +79,91 @@ def _worker_blas_threads(monkeypatch, jobs):
     return {n for counts in results.values() for n in counts}
 
 
+def _walked_columns(x0) -> list:
+    """The start states of a walk: x0 itself, or each column of a block."""
+    return list(x0.T) if x0.ndim == 2 else [x0]
+
+
 def _count_spin_ups(monkeypatch):
-    """The start state and the inputs of every deterministic walk run in this
-    process."""
+    """The start state and the inputs of every column of every deterministic
+    walk run in this process; a block of k columns counts k walks."""
     walks = []
     original = trial_module._spin_up
 
     def counted(model, x0, *walk):
-        walks.append((x0.tobytes(),) + walk)
+        walks.extend((start.tobytes(),) + walk for start in _walked_columns(x0))
         return original(model, x0, *walk)
 
     monkeypatch.setattr(trial_module, "_spin_up", counted)
     return walks
+
+
+# A 2-job sweep of the tiny config at argv[2] points (sweep_r_p) and argv[3]
+# trials in a forked pool. It logs, to the file argv[1], each walked column
+# ("<pid> walk <start state>") and each trial's start ("<pid> trial <whether
+# numpy.random is loaded>"), and prints the calling process's pid.
+_POOL_WALKS = """
+import concurrent.futures, functools, multiprocessing, os, sys
+import projda.experiments.trial as trial_module
+from projda.experiments import default_config, run_sweep, sweep
+
+log, points, trials = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+walk, run = trial_module._spin_up, sweep.run_trial
+
+def note(line):
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {line}\\n")
+
+def logged_walk(model, x0, *args):
+    for start in (x0.T if x0.ndim == 2 else [x0]):
+        note("walk " + start.tobytes().hex())
+    return walk(model, x0, *args)
+
+def logged_trial(config, trial_index, memo=None):
+    note(f"trial {'numpy.random' in sys.modules}")
+    return run(config, trial_index, memo)
+
+trial_module._spin_up = logged_walk
+sweep.run_trial = logged_trial
+concurrent.futures.ProcessPoolExecutor = functools.partial(
+    concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+cfg = default_config("l96", dimension=8, n_particles=4, n_observations=6, trials=trials,
+                     burn_in=50, training_steps=40, training_stride=5, r_p=4, r_d=2,
+                     base_seed=777, filter_kind="projoppf", reduction_kind="pod",
+                     sweep_r_p=tuple(range(2, 2 + points)))
+run_sweep(cfg, jobs=2)
+print(os.getpid())
+"""
+
+
+def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def _assert_walked_once_by_the_caller(tmp_path, points: int, trials: int):
+    """Run _POOL_WALKS in a fresh interpreter, where nothing has imported
+    numpy.random before the sweep. Each start state must be walked once, all
+    in the calling process, and each pool worker must find numpy.random
+    loaded at its first trial. The patched walker reaches the workers only if
+    they are forked (forkserver and spawn workers import the module afresh),
+    so the pool is asked for fork rather than the platform's default."""
+    log = tmp_path / "log.txt"
+    out = _run_python(_POOL_WALKS, str(log), str(points), str(trials))
+    assert out.returncode == 0, out.stderr
+    caller = out.stdout.strip()
+    lines = [line.split() for line in log.read_text().splitlines()]
+    walks = [(pid, start) for pid, what, start in lines if what == "walk"]
+    assert {pid for pid, _ in walks} == {caller}
+    assert len(walks) == len({start for _, start in walks}) == trials
+    first = {}
+    for pid, what, loaded in lines:
+        if what == "trial" and pid != caller:
+            first.setdefault(pid, loaded)
+    assert first and set(first.values()) == {"True"}
 
 
 def _no_convergence(*args, **kwargs):
@@ -149,6 +225,22 @@ class TestConfig:
             _tiny(sweep_scenario=("all",))
         with pytest.raises(ConfigError):
             default_config("swe", sweep_forcing=(3.0,))
+
+    @pytest.mark.parametrize("key, over", [
+        ("[noise] q_scale", dict(q_scale=float("nan"))),
+        ("[model] forcing", dict(forcing=float("inf"))),
+        ("[model] dt", dict(dt=float("nan"))),
+        ("[filter] resample_omega", dict(resample_omega=float("inf"))),
+        ("[experiment] sweep_q_scale", dict(sweep_q_scale=(0.1, float("nan")))),
+        ("[experiment] sweep_forcing", dict(sweep_forcing=(4, float("-inf")))),
+        # a base value a sweep never runs is checked all the same
+        ("[noise] q_scale", dict(q_scale=float("nan"), sweep_q_scale=(0.1, 0.2))),
+    ], ids=["q_scale", "forcing", "dt", "resample_omega", "sweep_q_scale",
+            "sweep_forcing", "swept_base"])
+    def test_non_finite_floats_are_rejected_naming_their_key(self, key, over):
+        # NaN passes every range comparison, and these used to fail every trial
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: must be finite"):
+            default_config("l96", **over)
 
     def test_replace_revalidates(self):
         cfg = _tiny()
@@ -530,27 +622,16 @@ class TestSpinUpSharing:
         write_summary_csv(paths[1], run_sweep(cfg, jobs=2), cfg.model_kind)
         assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
-    def test_pool_workers_walk_each_trial_once(self, monkeypatch, tmp_path):
-        """4 trials share evenly between 2 workers, so each goes out whole and
-        is walked once. The patched walker reaches the workers only if they
-        are forked (forkserver and spawn workers import the module afresh), so
-        the pool is asked for fork rather than the platform's default."""
-        cfg = _tiny(filter_kind="projoppf", reduction_kind="pod", trials=4,
-                    sweep_r_p=(2, 3, 4))
-        log = tmp_path / "walks.txt"
-        walk = trial_module._spin_up
+    def test_pool_workers_walk_each_trial_once(self, tmp_path):
+        """4 trials share evenly between 2 processes and go out whole. Every
+        walk runs in the calling process before the pool starts, so the pool
+        worker walks nothing and finds numpy.random, which the start states
+        load, already imported."""
+        _assert_walked_once_by_the_caller(tmp_path, points=3, trials=4)
 
-        def logged(model, x0, *args):
-            with open(log, "a") as fh:
-                fh.write(x0.tobytes().hex() + "\n")
-            return walk(model, x0, *args)
-
-        monkeypatch.setattr(trial_module, "_spin_up", logged)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
-            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
-        run_sweep(cfg, jobs=2)
-        starts = log.read_text().splitlines()
-        assert len(starts) == len(set(starts)) == cfg.trials
+    def test_a_trial_split_between_processes_is_walked_once(self, tmp_path):
+        # trial 4 is split between the 2 processes, each of which used to walk it
+        _assert_walked_once_by_the_caller(tmp_path, points=4, trials=5)
 
     @pytest.mark.parametrize("points, trials, workers, expected", [
         (3, 4, 2, [[0, 1, 2]] * 4),

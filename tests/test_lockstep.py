@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import projda.experiments.trial as trial_module
-from projda.errors import ProjdaError
+from projda.errors import BlowupError, ProjdaError
 from projda.experiments import (
     MetricsRecord,
     default_config,
@@ -343,6 +343,73 @@ def test_spin_up_equals_the_walk_of_single_steps(monkeypatch, burn_in, training_
         recorded |= set(range(burn_in, burn_in + training_steps + 1, stride))
     marks = sorted(recorded)
     assert counts == [b - a for a, b in zip(marks, marks[1:]) if b > a]
+
+
+@pytest.mark.parametrize("model, reduction", [
+    ("l96", "pod"),  # records the training snapshots
+    ("l96", "aus"),  # stops aus_spinup cycles short and records none
+    ("swe", "pod"),
+], ids=["l96-snapshots", "l96-aus", "swe"])
+def test_a_batched_walk_equals_the_lone_walks_of_its_columns(model, reduction):
+    config = _config(model, reduction, "oppf")
+    spec = config.build_model()
+    if model == "l96":
+        starts = [_initial_state(config, spec, RngStream(config.base_seed).child(t))
+                  for t in range(3)]
+    else:
+        starts = [spec.default_jet_state(jet_speed=speed) for speed in (5.0, 4.0)]
+    walk = trial_module._spin_up_key(config, spec, starts[0])[2:]
+    assert (walk[2] is None) == (reduction == "aus")
+    batched = _spin_up(spec, np.stack(starts, axis=1), *walk)
+    assert len(batched) == len(starts)
+    for start, pair in zip(starts, batched):
+        lone = _spin_up(spec, start, *walk)
+        for got, expect in zip(pair, lone):
+            assert (got is None) == (expect is None)
+            if expect is not None:
+                assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+                assert got.flags.c_contiguous and not got.flags.writeable
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_walk_that_blows_up_fails_its_trial_alone(monkeypatch, jobs):
+    # trial 1 starts 1e200 times too far out; the batched walk of the three
+    # trials' start states cannot be walked, so each trial walks alone
+    config = _config("l96", "pod", "oppf", trials=3, sweep_r_p=(3, 4))
+    points = sweep.sweep_points(config)
+    initial, walk = trial_module._initial_state, trial_module._spin_up
+
+    def blowing_up(config, model, rng):
+        x0 = initial(config, model, rng)
+        return x0 * 1e200 if rng.key == (1,) else x0
+
+    failed_blocks = []
+
+    def walked(model, x0, *args):
+        try:
+            return walk(model, x0, *args)
+        except BlowupError:
+            failed_blocks.append(np.ndim(x0) == 2 and x0.shape[1])
+            raise
+
+    monkeypatch.setattr(trial_module, "_initial_state", blowing_up)
+    monkeypatch.setattr(trial_module, "_spin_up", walked)
+    _forked_pool(monkeypatch)
+    model = config.build_model()
+    bad = blowing_up(points[0], model, RngStream(config.base_seed).child(1))
+    with pytest.raises(BlowupError) as lone:
+        walk(model, bad, *trial_module._spin_up_key(points[0], model, bad)[2:])
+    records = sweep._run_points(points, config.trials, jobs)
+    assert failed_blocks[0] == config.trials
+    for point, point_records in zip(points, records):
+        for t, record in enumerate(point_records):
+            assert_same_record(record, run_trial(point, t))
+            if t == 1:
+                assert record.failure == f"BlowupError: {lone.value}"
+                assert record.n_observations == 0
+            else:
+                assert not record.failed, record.failure
+                assert_same_record(record, _reference_trial(point, t))
 
 
 def test_points_on_different_models_share_a_chunk():

@@ -281,8 +281,9 @@ class TestLorenz96:
         assert not np.array_equal(xs[0], xs[1])
 
     def test_returned_states_are_fresh_arrays(self):
-        # _spin_up keeps its snapshots by reference, so no step may hand back
-        # a plan buffer or write into an array it returned earlier
+        # _spin_up keeps the state its last step returns by reference, and
+        # trials keep their mapped states, so no step may hand back a plan
+        # buffer or write into an array it returned earlier
         spec = L96Spec()
         for name, make in _L96_INPUTS.items():
             x = make(np.random.default_rng(19))
@@ -591,7 +592,7 @@ class TestStepCount:
 
     @pytest.mark.parametrize("model", _MODELS)
     def test_results_share_no_memory(self, model):
-        # _spin_up keeps its snapshots by reference
+        # _spin_up and the trials keep the states steps return by reference
         spec, inputs = _model_inputs(model)
         for name, x in inputs.items():
             kept = []
