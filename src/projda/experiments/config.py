@@ -218,10 +218,9 @@ class ExperimentConfig:
             if self.r_p > model.dimension:
                 raise bad("reduction", "r_p",
                           f"{self.r_p} exceeds the state dimension {model.dimension}")
-            if self.data_reduction == "data" and self.r_d > h.data_dim:
+            if self.r_d > h.data_dim:
                 raise bad("reduction", "r_d",
-                          f"data-based reduction needs r_d <= the {h.data_dim} observed "
-                          f"components, got {self.r_d}")
+                          f"needs r_d <= the {h.data_dim} observed components, got {self.r_d}")
         return self
 
 

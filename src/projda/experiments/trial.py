@@ -7,10 +7,11 @@ therefore independent of execution order and of each other.
 
 A trial's truth ends a deterministic walk of burn_in + training_steps model
 steps; a time-dependent basis walks the last aus_spinup cycles of it itself.
-Trials that walk from the same state with the same inputs share one walk
-(TrialMemo.spin_ups), and _walk_ahead walks the distinct start states of
-many trials on one model as the columns of one block; a column of a block
-walks as it would alone.
+_walk_ahead walks the trials of a run before any of them, keeping each walk
+in TrialMemo.spin_ups under its (config, trial_index); trials that walk from
+the same state with the same inputs share one walk, and the distinct start
+states of one model go as the columns of one block, each column walked as
+it would be alone. A trial with no walk there walks alone and keeps nothing.
 
 Trials run in lockstep groups. Each cycle a trial names the states it maps
 (its truth, the tangent block of a time-dependent basis, its particles), and
@@ -169,31 +170,18 @@ def _time_dependent(config: ExperimentConfig) -> bool:
     return config.reduction_kind == "aus" and not config.uses_identity_reduction
 
 
-def _spin_up_key(config: ExperimentConfig, model, x0) -> tuple:
-    """(model, x0's bytes, burn_in, training_steps, stride): the walk a trial
-    of config takes from x0, its last three items _spin_up's arguments after
-    x0. The walk covers burn_in + training_steps, less the last aus_spinup
-    observation cycles of a time-dependent basis, which _spin_up_aus walks in
-    its tangent blocks; so the truth is the same whatever the reduction and
-    filter."""
+def _walk(config: ExperimentConfig, model) -> tuple:
+    """(burn_in, training_steps, stride), _spin_up's arguments after x0: the
+    walk a trial of config takes on model. It covers burn_in + training_steps,
+    less the last aus_spinup observation cycles of a time-dependent basis,
+    which _spin_up_aus walks in its tangent blocks; so the truth is the same
+    whatever the reduction and filter."""
     if _time_dependent(config):
         end = config.burn_in + config.training_steps
-        walk = (end - config.aus_spinup * model.steps_per_observation, 0, None)
-    else:
-        record = _snapshots_needed(config) > 0 and not config.snapshot_file
-        walk = (config.burn_in, config.training_steps,
-                config.training_stride if record else None)
-    return (model, x0.tobytes()) + walk
-
-
-def _shared_spin_up(config: ExperimentConfig, model, x0, spin_ups: dict):
-    """_spin_up's result for a trial of config from x0, taken from spin_ups
-    when it holds that walk (see _spin_up_key), else walked and kept there."""
-    key = _spin_up_key(config, model, x0)
-    walked = spin_ups.get(key)
-    if walked is None:
-        walked = spin_ups[key] = _spin_up(model, x0, *key[2:])
-    return walked
+        return (end - config.aus_spinup * model.steps_per_observation, 0, None)
+    record = _snapshots_needed(config) > 0 and not config.snapshot_file
+    return (config.burn_in, config.training_steps,
+            config.training_stride if record else None)
 
 
 def _walk_ahead(tasks, spin_ups: dict):
@@ -202,8 +190,8 @@ def _walk_ahead(tasks, spin_ups: dict):
     that walk from the same start state share a walk, and the distinct start
     states of one model and walk go as the columns of one block. A task
     whose start state cannot be built, or whose block fails to walk, gets no
-    walk here; its trial walks alone in set-up, so that a failure and its
-    message are its own."""
+    walk here; its trial walks alone in set-up and keeps nothing, so that a
+    failure and its message are its own."""
     blocks: dict = {}
     for task in tasks:
         config, trial_index = task
@@ -212,9 +200,8 @@ def _walk_ahead(tasks, spin_ups: dict):
             x0 = _initial_state(config, model, RngStream(config.base_seed).child(trial_index))
         except Exception:
             continue
-        key = _spin_up_key(config, model, x0)
-        starts = blocks.setdefault((model,) + key[2:], {})  # start state -> (x0, tasks)
-        starts.setdefault(key[1], (x0, []))[1].append(task)
+        starts = blocks.setdefault((model,) + _walk(config, model), {})  # x0 -> (x0, tasks)
+        starts.setdefault(x0.tobytes(), (x0, []))[1].append(task)
     for (model, *walk), starts in blocks.items():
         try:
             walked = _spin_up(model, np.stack([x0 for x0, _ in starts.values()], axis=1), *walk)
@@ -246,12 +233,11 @@ def training_trajectory(config: ExperimentConfig, trial_index: int = 0):
 
 @dataclass
 class TrialMemo:
-    """What the trials of one process share: deterministic walks (spin_ups,
-    by walk, see _shared_spin_up, and by (config, trial_index) for the trials
-    _walk_ahead walked), input files by path (files, see _file_inputs), and
-    a lockstep group, the (config, trial_index) pairs registered to run
-    together (group) with the records it finished ahead of their run_trial
-    calls (records)."""
+    """What the trials of one process share: deterministic walks by
+    (config, trial_index) (spin_ups, see _walk_ahead), input files by path
+    (files, see _file_inputs), and a lockstep group, the (config,
+    trial_index) pairs registered to run together (group) with the records
+    it finished ahead of their run_trial calls (records)."""
 
     spin_ups: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)
@@ -335,8 +321,7 @@ class _Trial:
 
         walked = memo.spin_ups.get((config, self.trial_index))
         if walked is None:
-            x_init = _initial_state(config, model, rng)
-            walked = _shared_spin_up(config, model, x_init, memo.spin_ups)
+            walked = _spin_up(model, _initial_state(config, model, rng), *_walk(config, model))
         x, snapshots = walked
         self.time_dependent = _time_dependent(config)
         if self.time_dependent:
@@ -497,11 +482,13 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     """Run one assimilation trial and collect per-observation metrics.
 
     memo, when given, is shared by the trials that receive it; sweeps pass
-    one per process, and the outputs do not depend on it. A trial whose walk
-    or input files are in it skips reading them again. A trial registered in
-    memo.group runs in lockstep with the whole group: the first run_trial
-    call of the group runs every trial in it and keeps the others' records
-    for their own calls. Any other trial runs as a group of one."""
+    one per process, and the outputs do not depend on it. A trial takes its
+    walk from memo.spin_ups, where _walk_ahead put it, or else walks alone
+    and keeps nothing; input files in memo are not read again. A trial
+    registered in memo.group runs in lockstep with the whole group: the
+    first run_trial call of the group runs every trial in it and keeps the
+    others' records for their own calls. Any other trial runs as a group of
+    one."""
     memo = TrialMemo() if memo is None else memo
     key = (config, trial_index)
     if key not in memo.records:

@@ -112,12 +112,14 @@ class L96Spec:
     def step(self, state, n: int = 1):
         """n internal deterministic RK4 steps of a state or of each column of
         a block. The result is bit for bit that of n calls of one step, and a
-        walk that blows up raises the same BlowupError at the same step. It
-        is one fresh array in the input's memory order."""
+        walk that blows up raises the same BlowupError at the same step,
+        without numpy's overflow warnings. It is one fresh array in the
+        input's memory order."""
         if n < 1:
             raise ValueError(f"step count must be >= 1, got {n}")
         x = np.asarray(state, dtype=float)
-        return _plan(x).step(x, self._rk4, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _plan(x).step(x, self._rk4, n)
 
     def cycle_map(self, state):
         """Deterministic map over one observation cycle: one call of step."""

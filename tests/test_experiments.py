@@ -651,16 +651,20 @@ class TestSpinUpSharing:
 
     def test_every_spin_up_input_is_in_the_key(self, monkeypatch):
         cfg = _tiny(filter_kind="projoppf", reduction_kind="pod")
-        x0 = cfg.build_model().default_state()
         variants = [cfg, replace(cfg, dt=0.02), replace(cfg, burn_in=60),
                     replace(cfg, training_steps=50), replace(cfg, training_stride=4),
                     replace(cfg, reduction_kind="aus", data_reduction="model", aus_spinup=8)]
+        # each variant again at another rank, as a sweep point of the same truth
+        repeats = [replace(c, r_p=3) for c in variants]
         walks = _count_spin_ups(monkeypatch)
         spin_ups = {}
-        for c in variants + variants:
-            trial_module._shared_spin_up(c, c.build_model(), x0, spin_ups)
-        trial_module._shared_spin_up(cfg, cfg.build_model(), x0 + 1.0, spin_ups)
-        assert len(walks) == len(spin_ups) == len(variants) + 1
+        trial_module._walk_ahead([(c, 0) for c in variants + repeats] + [(cfg, 1)], spin_ups)
+        own = [spin_ups[c, 0] for c in variants] + [spin_ups[cfg, 1]]
+        # every variant, and trial 1's other start state, walks on its own
+        assert len(walks) == len({id(w) for w in own}) == len(variants) + 1
+        for c, repeat in zip(variants, repeats):
+            assert spin_ups[repeat, 0] is spin_ups[c, 0]
+        assert len(spin_ups) == 2 * len(variants) + 1
 
     def test_direct_trials_keep_no_state(self, monkeypatch):
         cfg = _tiny(filter_kind="projoppf", reduction_kind="pod")
@@ -677,11 +681,11 @@ class TestSpinUpSharing:
     ])
     def test_shared_arrays_are_read_only(self, over, recorded):
         cfg = _tiny(filter_kind="projoppf", **over)
-        model = cfg.build_model()
-        x0 = model.default_state()
+        tasks = [(cfg, 0), (replace(cfg, r_p=3), 0)]
         spin_ups = {}
-        walked = trial_module._shared_spin_up(cfg, model, x0, spin_ups)
-        assert trial_module._shared_spin_up(cfg, model, x0.copy(), spin_ups) is walked
+        trial_module._walk_ahead(tasks, spin_ups)
+        walked = spin_ups[tasks[0]]
+        assert spin_ups[tasks[1]] is walked
         x_start, kept = walked
         assert (kept is None) == (recorded is None)
         for arr in [x_start] + ([kept] if recorded else []):

@@ -444,6 +444,9 @@ class TestCliErrors:
          ["assimilate", "--rd", "9"]),
         ("[reduction] r_d", {"reduction": "data_reduction = data\n",
                              "experiment": "sweep_r_d = 2, 9\n"}, ["sweep"]),
+        # R^q of a model-based data reduction has rank at most the 1 observed
+        # component, so r_d = 2 used to fail every trial
+        ("[reduction] r_d", {"observation": "fraction = 0.125\n"}, ["assimilate"]),
         # assimilate runs the base rank, which a sweep never runs
         ("[reduction] r_p", {"experiment": "sweep_r_p = 2, 4\n"}, ["assimilate", "--r", "9"]),
         # non-finite values used to pass the loader and then fail every trial
@@ -460,7 +463,7 @@ class TestCliErrors:
         ("[noise] r_scale", {"noise": "r_scale = 1e-320\n"}, ["assimilate"]),
         ("[noise] q_scale", {"noise": "q_scale = 1e-320\n"}, ["assimilate"]),
     ], ids=["aus_eps", "aus_spinup", "dmd_rank", "lyapunov_qr_interval", "lyapunov_eps",
-            "r_p_assimilate", "r_p_sweep", "r_d_assimilate", "r_d_sweep",
+            "r_p_assimilate", "r_p_sweep", "r_d_assimilate", "r_d_sweep", "r_d_model",
             "r_p_assimilate_swept", "q_scale_nan", "forcing_inf", "dt_nan",
             "resample_omega_inf", "aus_eps_inf", "sweep_q_scale_nan",
             "fraction_reciprocal", "r_scale_reciprocal", "q_scale_reciprocal"])

@@ -358,7 +358,7 @@ def test_a_batched_walk_equals_the_lone_walks_of_its_columns(model, reduction):
                   for t in range(3)]
     else:
         starts = [spec.default_jet_state(jet_speed=speed) for speed in (5.0, 4.0)]
-    walk = trial_module._spin_up_key(config, spec, starts[0])[2:]
+    walk = trial_module._walk(config, spec)
     assert (walk[2] is None) == (reduction == "aus")
     batched = _spin_up(spec, np.stack(starts, axis=1), *walk)
     assert len(batched) == len(starts)
@@ -398,7 +398,7 @@ def test_a_walk_that_blows_up_fails_its_trial_alone(monkeypatch, jobs):
     model = config.build_model()
     bad = blowing_up(points[0], model, RngStream(config.base_seed).child(1))
     with pytest.raises(BlowupError) as lone:
-        walk(model, bad, *trial_module._spin_up_key(points[0], model, bad)[2:])
+        walk(model, bad, *trial_module._walk(points[0], model))
     records = sweep._run_points(points, config.trials, jobs)
     assert failed_blocks[0] == config.trials
     for point, point_records in zip(points, records):

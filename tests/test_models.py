@@ -304,6 +304,17 @@ class TestLorenz96:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError):
             spec.step(x)
 
+    def test_a_diverging_step_raises_blowup_without_warnings(self):
+        # the step's own finiteness check reports the fault; numpy's overflow
+        # warnings on the way there would only repeat it on stderr
+        spec = L96Spec()
+        x = spec.default_state() * 1e200
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BlowupError):
+                spec.step(x)
+        assert caught == []
+
     def test_rk4_batched_columns_match(self):
         spec = L96Spec(dimension=6, forcing=8.0)
         rng = np.random.default_rng(0)
