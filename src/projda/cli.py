@@ -36,11 +36,11 @@ def _cmd_truth(args, config):
 
 def _cmd_reduce(args, config):
     kind = (args.kind or config.reduction_kind).lower()
-    if kind not in ("pod", "dmd"):
-        raise ConfigError(
-            f"reduce builds pod or dmd bases; {kind!r} bases are not precomputable "
-            "(the unstable-subspace basis is rebuilt every assimilation cycle)"
-        )
+    why = {"identity": "an 'identity' basis is the whole state space and needs no file",
+           "aus": "'aus' bases are not precomputable (the unstable-subspace basis is "
+                  "rebuilt every assimilation cycle)"}
+    if kind in why:
+        raise ConfigError(f"reduce builds pod or dmd bases; {why[kind]}")
     rank = args.r if args.r is not None else config.r_p
     snapshot_file = config.snapshot_file or "truth.bin"
     snapshots, sidecar = load_snapshots(snapshot_file)
@@ -101,7 +101,11 @@ def _cmd_sweep(args, config):
     rows = run_sweep(config, jobs=args.jobs)
     write_summary_csv(args.out, rows, config.model_kind)
     print(f"wrote {len(rows)} summary rows to {args.out}")
-    return 0
+    failed = sum(row.failed_trials for row in rows)
+    if failed < len(rows) * config.trials:
+        return 0
+    print(f"all {failed} trials failed; see {args.out} and the log")
+    return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

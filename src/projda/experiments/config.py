@@ -1,11 +1,15 @@
 """Experiment configuration: one flat dataclass loaded from an INI file.
 
-_TABLE maps each INI section and key to the ExperimentConfig field it sets;
-README.md (Configuration) lists the keys with their ranges. Unset keys take
-model-dependent defaults. Sweep keys are comma-separated lists; an empty value
-means the axis is not swept. A sweep is its points (sweep_points), the
-product of the axes in _SWEEP_AXES; a config with a swept axis is valid when
-every point is.
+_TABLE maps each INI section and key to the ExperimentConfig field it sets,
+and is the only place that names them: a range error takes its "[section]
+key" from it. _ALLOWED, _AT_LEAST and _ABOVE hold each choice list and plain
+lower bound once, and validate checks them with finiteness in one pass over
+_TABLE; README.md (Configuration) lists the keys with their ranges. The
+model and filter defaults are those of L96Spec, SWESpec and FilterConfig;
+unset keys take model-dependent defaults. Sweep keys are comma-separated
+lists; an empty value means the axis is not swept. A sweep is its points
+(sweep_points), the product of the axes in _SWEEP_AXES; a config with a swept
+axis is valid when every point is.
 """
 
 from __future__ import annotations
@@ -23,12 +27,6 @@ from ..errors import ConfigError
 from ..filters import FilterConfig
 from ..models import L96Spec, ObservationOperator, SWESpec
 
-_MODEL_KINDS = ("l96", "swe")
-_FILTER_KINDS = ("pf", "oppf", "projpf", "projoppf")
-_REDUCTION_KINDS = ("identity", "pod", "dmd", "aus")
-_DATA_REDUCTIONS = ("model", "data")
-_SCENARIOS_SWE = ("uv", "all", "h")
-
 # filter kinds that run in the full state space through identity bases
 FULL_SPACE_FILTERS = ("pf", "oppf")
 # filter kinds that draw from the optimal proposal
@@ -39,19 +37,19 @@ OPTIMAL_PROPOSAL_FILTERS = ("oppf", "projoppf")
 class ExperimentConfig:
     # model
     model_kind: str = "l96"
-    dimension: int = 40
-    forcing: float = 8.0
-    dt: float = 0.01
-    steps_per_observation: int = 5
-    nx: int = 64
-    ny: int = 16
-    dx: float = 20000.0
-    dy: float = 20000.0
-    gravity: float = 9.81
-    coriolis: float = 1e-4
-    friction: float = 1e-6
-    viscosity: float = 1e4
-    depth: float = 250.0
+    dimension: int = L96Spec.dimension
+    forcing: float = L96Spec.forcing
+    dt: float = L96Spec.dt
+    steps_per_observation: int = L96Spec.steps_per_observation
+    nx: int = SWESpec.nx
+    ny: int = SWESpec.ny
+    dx: float = SWESpec.dx
+    dy: float = SWESpec.dy
+    gravity: float = SWESpec.gravity
+    coriolis: float = SWESpec.coriolis
+    friction: float = SWESpec.friction
+    viscosity: float = SWESpec.viscosity
+    depth: float = SWESpec.depth
     jet_speed: float = 5.0
     jet_width: float = 80000.0
     perturb_amplitude: float = 0.5
@@ -76,9 +74,9 @@ class ExperimentConfig:
     # filter
     filter_kind: str = "oppf"
     n_particles: int = 20
-    ess_threshold: float = 0.5
-    resample_alpha: float = 0.99
-    resample_omega: float = 1e-2
+    ess_threshold: float = FilterConfig.ess_threshold_fraction
+    resample_alpha: float = FilterConfig.resample_alpha
+    resample_omega: float = FilterConfig.resample_omega
     # experiment
     n_observations: int = 1000
     burn_in: int = 1000
@@ -98,14 +96,8 @@ class ExperimentConfig:
     # -- derived objects ------------------------------------------------------
 
     def build_model(self):
-        if self.model_kind == "l96":
-            return L96Spec(dimension=self.dimension, forcing=self.forcing,
-                           dt=self.dt, steps_per_observation=self.steps_per_observation)
-        return SWESpec(nx=self.nx, ny=self.ny, dx=self.dx, dy=self.dy,
-                       gravity=self.gravity, coriolis=self.coriolis,
-                       friction=self.friction, viscosity=self.viscosity,
-                       depth=self.depth, dt=self.dt,
-                       steps_per_observation=self.steps_per_observation)
+        spec = L96Spec if self.model_kind == "l96" else SWESpec
+        return spec(**{f.name: getattr(self, f.name) for f in dataclasses.fields(spec)})
 
     def build_observation(self, model) -> ObservationOperator:
         every = int(round(1.0 / self.obs_fraction))
@@ -139,100 +131,75 @@ class ExperimentConfig:
         """self, checked as one point, or, where a sweep axis is set, each of
         its sweep points checked as one point; raises ConfigError naming the
         section and key of the first value out of range."""
-        def bad(section, key, msg):
+        def bad(name, msg):
+            section, key = _KEYS[name]
             return ConfigError(f"[{section}] {key}: {msg}")
 
-        # NaN passes every range check below
-        for section, key, value in _floats(self):
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise bad(section, key, f"must be finite, got {value}")
+        sweep = any(getattr(self, key) for key in _SWEEP_ITEMS)
+        for name in _KEYS:
+            value = getattr(self, name)
+            # NaN passes every bound; a sweep item names its sweep key
+            for item in value if name in _SWEEP_ITEMS else (value,):
+                if isinstance(item, numbers.Real) and not math.isfinite(item):
+                    raise bad(name, f"must be finite, got {item}")
+            if sweep:
+                continue  # each point checks its own ranges
+            if name in _ALLOWED and value not in _ALLOWED[name]:
+                raise bad(name, f"must be one of {_ALLOWED[name]}, got {value!r}")
+            if name in _AT_LEAST and not value >= _AT_LEAST[name]:
+                raise bad(name, f"must be >= {_AT_LEAST[name]}, got {value}")
+            if name in _ABOVE and not value > _ABOVE[name]:
+                raise bad(name, f"must be > {_ABOVE[name]}, got {value}")
         if self.model_kind == "swe" and self.sweep_forcing:
-            raise bad("experiment", "sweep_forcing", "forcing applies to the l96 model only")
+            raise bad("sweep_forcing", "forcing applies to the l96 model only")
         if self.model_kind == "l96" and self.sweep_scenario:
-            raise bad("experiment", "sweep_scenario", "scenarios apply to the swe model only")
-        if any(getattr(self, key) for key in _SWEEP_ITEMS):
+            raise bad("sweep_scenario", "scenarios apply to the swe model only")
+        if sweep:
             sweep_points(self)
             return self
-        if self.model_kind not in _MODEL_KINDS:
-            raise bad("model", "kind", f"must be one of {_MODEL_KINDS}")
-        if self.filter_kind not in _FILTER_KINDS:
-            raise bad("filter", "kind", f"must be one of {_FILTER_KINDS}")
-        if self.reduction_kind not in _REDUCTION_KINDS:
-            raise bad("reduction", "kind", f"must be one of {_REDUCTION_KINDS}")
-        if self.data_reduction not in _DATA_REDUCTIONS:
-            raise bad("reduction", "data_reduction", f"must be one of {_DATA_REDUCTIONS}")
+        if self.scenario not in _SCENARIOS[self.model_kind]:
+            raise bad("scenario", f"must be one of {_SCENARIOS[self.model_kind]} for the "
+                      f"{self.model_kind} model, got {self.scenario!r}")
         if not 0.0 < self.obs_fraction <= 1.0 or math.isinf(1.0 / self.obs_fraction):
-            raise bad("observation", "fraction", "must lie in (0, 1], 1/fraction finite")
-        if self.model_kind == "l96" and self.scenario != "all":
-            raise bad("observation", "scenario", "the cyclic model observes one variable; use 'all'")
-        if self.model_kind == "swe" and self.scenario not in _SCENARIOS_SWE:
-            raise bad("observation", "scenario", f"must be one of {_SCENARIOS_SWE}")
-        if self.q_scale < 0 or self.r_scale < 0:
-            raise bad("noise", "q_scale/r_scale", "must be nonnegative")
+            raise bad("obs_fraction", "must lie in (0, 1], 1/fraction finite")
         if self.uses_optimal_proposal and (self.q_scale == 0 or math.isinf(1.0 / self.q_scale)):
-            raise bad("noise", "q_scale", "optimal-proposal filters need nonzero model "
-                      "noise, 1/q_scale finite")
-        if self.r_scale == 0 or math.isinf(1.0 / self.r_scale):
-            raise bad("noise", "r_scale", "observation noise must be positive, 1/r_scale finite")
+            raise bad("q_scale", "optimal-proposal filters need nonzero model noise, "
+                      "1/q_scale finite")
+        if math.isinf(1.0 / self.r_scale):
+            raise bad("r_scale", "1/r_scale must be finite")
         if not self.uses_identity_reduction:
-            if self.r_p < 1 or self.r_d < 1:
-                raise bad("reduction", "r_p/r_d", "must be positive")
+            for name, rank in (("r_p", self.r_p), ("r_d", self.r_d)):
+                if rank < 1:
+                    raise bad(name, f"must be >= 1 for a projected filter, got {rank}")
             if self.data_reduction == "model" and self.r_d > self.r_p:
-                raise bad("reduction", "r_d", "model-based data reduction needs r_d <= r_p")
+                raise bad("r_d", "model-based data reduction needs r_d <= r_p")
             if self.reduction_kind == "aus":
                 if self.data_reduction != "model":
-                    raise bad("reduction", "data_reduction",
+                    raise bad("data_reduction",
                               "time-dependent bases support only the model-based data reduction")
                 if not self.aus_eps > 0:
-                    raise bad("reduction", "aus_eps", "must be positive")
+                    raise bad("aus_eps", f"must be > 0 for kind = aus, got {self.aus_eps}")
                 if self.aus_spinup < 1:
-                    raise bad("reduction", "aus_spinup", "must be positive")
+                    raise bad("aus_spinup",
+                              f"must be >= 1 for kind = aus, got {self.aus_spinup}")
                 if self.burn_in + self.training_steps < self.aus_spinup * self.steps_per_observation:
-                    raise bad("reduction", "aus_spinup",
+                    raise bad("aus_spinup",
                               "burn_in + training_steps is shorter than the spin-up window")
             need = _snapshots_needed(self)
             if not self.snapshot_file and self.n_training_snapshots < need:
-                raise bad("reduction", "training_steps",
+                raise bad("training_steps",
                           f"only {self.n_training_snapshots} snapshots, need {need}")
-        if self.dmd_rank < 0:
-            raise bad("reduction", "dmd_rank", "must be >= 0 (0 picks the rank from the data)")
-        if self.n_particles < 1:
-            raise bad("filter", "n_particles", "must be positive")
-        if self.n_observations < 1 or self.trials < 1:
-            raise bad("experiment", "n_observations/trials", "must be positive")
-        if self.burn_in < 0 or self.training_steps < 0 or self.training_stride < 1:
-            raise bad("experiment", "burn_in/training", "burn_in, training_steps >= 0; stride >= 1")
-        if self.base_seed < 0:
-            raise bad("experiment", "base_seed", "must be nonnegative")
-        if self.lyapunov_exponents < 1 or self.lyapunov_steps < 1:
-            raise bad("experiment", "lyapunov_*", "must be positive")
-        if self.lyapunov_qr_interval < 1:
-            raise bad("experiment", "lyapunov_qr_interval", "must be positive")
-        if not self.lyapunov_eps > 0:
-            raise bad("experiment", "lyapunov_eps", "must be positive")
         # constructing the component objects surfaces their own range errors
         model = _component("model", self.build_model)
         h = _component("observation", self.build_observation, model)
         _component("filter", self.filter_config)
         if not self.uses_identity_reduction:
             if self.r_p > model.dimension:
-                raise bad("reduction", "r_p",
-                          f"{self.r_p} exceeds the state dimension {model.dimension}")
+                raise bad("r_p", f"{self.r_p} exceeds the state dimension {model.dimension}")
             if self.r_d > h.data_dim:
-                raise bad("reduction", "r_d",
-                          f"needs r_d <= the {h.data_dim} observed components, got {self.r_d}")
+                raise bad("r_d", f"needs r_d <= the {h.data_dim} observed components, "
+                          f"got {self.r_d}")
         return self
-
-
-def _floats(config: ExperimentConfig):
-    """(section, key, value) of each float field of config and of each item
-    of a float sweep list, in _TABLE order; an item names its sweep key."""
-    for section, keys in _TABLE.items():
-        for key, name in keys.items():
-            if type(_DEFAULTS[_SWEEP_ITEMS.get(name, name)]) is float:
-                values = getattr(config, name)
-                for value in values if name in _SWEEP_ITEMS else (values,):
-                    yield section, key, value
 
 
 def _component(section: str, build, *args):
@@ -273,8 +240,8 @@ def sweep_points(config: ExperimentConfig) -> list[ExperimentConfig]:
 # replaces these.
 _DEFAULTS_BY_MODEL = {
     "l96": {},
-    "swe": dict(dt=60.0, steps_per_observation=60, burn_in=1440,
-                training_steps=2880, training_stride=60, resample_omega=1e-4),
+    "swe": dict(dt=SWESpec.dt, steps_per_observation=SWESpec.steps_per_observation,
+                burn_in=1440, training_steps=2880, training_stride=60, resample_omega=1e-4),
 }
 
 
@@ -285,10 +252,7 @@ def default_config(model_kind: str = "l96", **overrides) -> ExperimentConfig:
     are tuned for Lorenz-96; this applies the shallow-water substitutions (time
     step, observation cadence, training window) that load_config applies too.
     """
-    if model_kind not in _MODEL_KINDS:
-        raise ConfigError(f"[model] kind: must be one of {_MODEL_KINDS}, got {model_kind!r}")
-    fields = dict(_DEFAULTS_BY_MODEL[model_kind])
-    fields.update(overrides)
+    fields = {**_DEFAULTS_BY_MODEL.get(model_kind, {}), **overrides}
     return ExperimentConfig(model_kind=model_kind, **fields).validate()
 
 
@@ -318,8 +282,24 @@ _TABLE = {
                         "lyapunov_steps lyapunov_exponents lyapunov_eps "
                         "lyapunov_qr_interval " + " ".join(_SWEEP_ITEMS)),
 }
-# Choice fields, read case-insensitively
-_CHOICES = ("model_kind", "scenario", "reduction_kind", "data_reduction", "filter_kind")
+# field -> its (section, key), which every range error names
+_KEYS = {name: (section, key) for section, keys in _TABLE.items() for key, name in keys.items()}
+# The values of each choice field; a model's scenarios depend on the model.
+# Choices are read case-insensitively.
+_ALLOWED = {
+    "model_kind": ("l96", "swe"),
+    "reduction_kind": ("identity", "pod", "dmd", "aus"),
+    "data_reduction": ("model", "data"),
+    "filter_kind": ("pf", "oppf", "projpf", "projoppf"),
+}
+_SCENARIOS = {"l96": ("all",), "swe": ("uv", "all", "h")}
+_CHOICES = (*_ALLOWED, "scenario")
+# Plain lower bounds, whatever the rest of the config: field >= bound, field > bound
+_AT_LEAST = {"q_scale": 0, "training_steps": 0, "training_stride": 1, "dmd_rank": 0,
+             "n_particles": 1, "n_observations": 1, "burn_in": 0, "trials": 1,
+             "base_seed": 0, "lyapunov_steps": 1, "lyapunov_exponents": 1,
+             "lyapunov_qr_interval": 1}
+_ABOVE = {"r_scale": 0, "lyapunov_eps": 0}
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 

@@ -18,6 +18,7 @@ import pytest
 from projda.cli import dispatch
 from projda.errors import ReductionError
 from projda.experiments import load_config, run_point, sweep, training_trajectory
+from projda.experiments.config import _ABOVE, _ALLOWED, _AT_LEAST, _TABLE
 from projda.experiments.sweep import write_trial_csv
 from projda.models import load_snapshots, save_snapshots
 from projda.reduction import ReductionBasis, load_basis, save_basis
@@ -302,6 +303,15 @@ class TestCliReduce:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_identity_needs_no_basis_file(self, tmp_path, capsys):
+        # the unstable-subspace reason used to be given for identity too
+        ini = tmp_path / "identity.ini"
+        ini.write_text("[model]\nkind = l96\ndimension = 8\n")
+        assert dispatch(["reduce", "--config", str(ini), "--out", str(tmp_path / "b.bin")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: reduce builds pod or dmd bases; an 'identity' basis is "
+                         "the whole state space and needs no file"]
+
     def test_missing_snapshot_file(self, tmp_path, capsys):
         snap = str(tmp_path / "nope.bin")
         ini = _write_ini(tmp_path, reduction_extra=f"snapshot_file = {snap}\n")
@@ -397,6 +407,21 @@ class TestCliSweep:
         rows = Path(out).read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["0", "0"]
 
+    def test_exits_1_when_every_trial_failed(self, tmp_path, capsys):
+        # an L96 step of dt = 0.3 diverges in the spin-up of every trial; this
+        # used to write the nan rows and exit 0
+        ini = tmp_path / "diverging.ini"
+        ini.write_text("[model]\nkind = l96\ndimension = 40\ndt = 0.3\n"
+                       "[reduction]\nkind = pod\nr_p = 10\nr_d = 5\ntraining_steps = 100\n"
+                       "[filter]\nkind = projoppf\n"
+                       "[experiment]\nn_observations = 3\ntrials = 2\nburn_in = 100\n"
+                       "sweep_r_p = 5, 10\n")
+        out = str(tmp_path / "summary.csv")
+        assert dispatch(["sweep", "--config", str(ini), "--out", out]) == 1
+        assert f"all 4 trials failed; see {out}" in capsys.readouterr().out
+        rows = Path(out).read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["2", "2"]
+
 
 class TestCliLyapunov:
     def test_spectrum_and_csv(self, tmp_path, capsys):
@@ -412,6 +437,31 @@ class TestCliLyapunov:
         # exponents are sorted descending in the CSV as well
         values = [float(row.split(",")[1]) for row in lines[1:9]]
         assert values == sorted(values, reverse=True)
+
+
+# field -> its INI section and key
+_SECTION_KEY = {name: (section, key) for section, keys in _TABLE.items()
+                for key, name in keys.items()}
+# every plain lower bound: field, the least value accepted, the nearest one
+# rejected
+_PLAIN_BOUNDS = [
+    ("q_scale", "0", "-5e-324"), ("r_scale", "2.2250738585072014e-308", "0"),
+    ("training_steps", "0", "-1"), ("training_stride", "1", "0"), ("dmd_rank", "0", "-1"),
+    ("n_particles", "1", "0"), ("n_observations", "1", "0"), ("burn_in", "0", "-1"),
+    ("trials", "1", "0"), ("base_seed", "0", "-1"), ("lyapunov_steps", "1", "0"),
+    ("lyapunov_exponents", "1", "0"), ("lyapunov_eps", "2.2250738585072014e-308", "0"),
+    ("lyapunov_qr_interval", "1", "0"),
+]
+
+
+def _one_key_ini(path, name, value):
+    """An INI file setting field name to value, with the bootstrap filter
+    (which takes q_scale = 0) unless name is the filter kind."""
+    section, key = _SECTION_KEY[name]
+    body = {"filter": "kind = pf\n"} if name != "filter_kind" else {}
+    body[section] = body.get(section, "") + f"{key} = {value}\n"
+    path.write_text("".join(f"[{s}]\n{lines}" for s, lines in body.items()))
+    return str(path)
 
 
 class TestCliErrors:
@@ -449,6 +499,10 @@ class TestCliErrors:
         ("[reduction] r_d", {"observation": "fraction = 0.125\n"}, ["assimilate"]),
         # assimilate runs the base rank, which a sweep never runs
         ("[reduction] r_p", {"experiment": "sweep_r_p = 2, 4\n"}, ["assimilate", "--r", "9"]),
+        # r_p and r_d, and q_scale and r_scale, used to share one message
+        ("[noise] r_scale", {"noise": "r_scale = -1\n"}, ["assimilate"]),
+        ("[reduction] r_p", {}, ["assimilate", "--r", "0"]),
+        ("[reduction] r_d", {}, ["assimilate", "--rd", "0"]),
         # non-finite values used to pass the loader and then fail every trial
         ("[noise] q_scale", {"noise": "q_scale = nan\n"}, ["assimilate"]),
         ("[model] forcing", {"model": "forcing = inf\n"}, ["assimilate"]),
@@ -464,7 +518,8 @@ class TestCliErrors:
         ("[noise] q_scale", {"noise": "q_scale = 1e-320\n"}, ["assimilate"]),
     ], ids=["aus_eps", "aus_spinup", "dmd_rank", "lyapunov_qr_interval", "lyapunov_eps",
             "r_p_assimilate", "r_p_sweep", "r_d_assimilate", "r_d_sweep", "r_d_model",
-            "r_p_assimilate_swept", "q_scale_nan", "forcing_inf", "dt_nan",
+            "r_p_assimilate_swept", "r_scale_negative", "r_p_zero", "r_d_zero",
+            "q_scale_nan", "forcing_inf", "dt_nan",
             "resample_omega_inf", "aus_eps_inf", "sweep_q_scale_nan",
             "fraction_reciprocal", "r_scale_reciprocal", "q_scale_reciprocal"])
     def test_out_of_range_key_exits_2_with_one_line(self, tmp_path, capsys, key, extra,
@@ -479,6 +534,36 @@ class TestCliErrors:
         assert dispatch(argv + ["--config", str(ini), "--out", out]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
+
+    @pytest.mark.parametrize("name, bound, outside", _PLAIN_BOUNDS,
+                             ids=[case[0] for case in _PLAIN_BOUNDS])
+    def test_plain_bound_is_checked_at_its_own_key(self, tmp_path, capsys, monkeypatch,
+                                                   name, bound, outside):
+        # the bound itself (or, for a strict one, the least normal float above
+        # it) loads; the nearest value outside exits 2 naming the key's section
+        accepted = _one_key_ini(tmp_path / "ok.ini", name, bound)
+        assert getattr(load_config(accepted), name) == float(bound)
+        self._rejected(tmp_path, capsys, monkeypatch, name, outside)
+
+    @pytest.mark.parametrize("name, choices", _ALLOWED.items(), ids=list(_ALLOWED))
+    def test_choice_is_checked_at_its_own_key(self, tmp_path, capsys, monkeypatch, name,
+                                              choices):
+        for choice in choices:
+            assert getattr(load_config(_one_key_ini(tmp_path / "ok.ini", name, choice)),
+                           name) == choice
+        self._rejected(tmp_path, capsys, monkeypatch, name, "none")
+
+    def test_bound_cases_cover_the_tables(self):
+        assert sorted(case[0] for case in _PLAIN_BOUNDS) == sorted([*_AT_LEAST, *_ABOVE])
+
+    @staticmethod
+    def _rejected(tmp_path, capsys, monkeypatch, name, value):
+        monkeypatch.setattr(sweep, "_execute", _no_trials)
+        ini = _one_key_ini(tmp_path / "bad.ini", name, value)
+        assert dispatch(["assimilate", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        section, key = _SECTION_KEY[name]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: [{section}] {key}: "), lines
 
     @pytest.mark.parametrize("command", ["assimilate", "truth", "lyapunov", "reduce", "sweep"])
     def test_out_of_range_sweep_point_exits_2_for_every_command(self, tmp_path, capsys,
