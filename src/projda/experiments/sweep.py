@@ -10,14 +10,19 @@ when there are fewer tasks): the caller is one of the workers, not a process
 that waits for them. The pool, and with it concurrent.futures.process and
 multiprocessing, loads when the first pool starts, so a run in one process
 never loads them. The workers share the machine's cores. Unless the user
-chose a thread count through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, each
-worker, the caller included, caps every OpenBLAS library it has loaded at its
-share of the usable CPUs, so the workers' multi-threaded matrix products and
-SVDs do not oversubscribe the cores; the caller gets its own count back when
-the pool is done. projda itself loads only numpy's OpenBLAS; a library caller
-may also have scipy's, which is capped as well. The results do not depend on
-the thread count; the sweep tests check this at shapes where OpenBLAS runs
-threaded.
+chose a thread count through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, the
+caller caps every OpenBLAS library it has loaded at each process's share of
+the usable CPUs before the pool forks, so the workers' multi-threaded matrix
+products and SVDs do not oversubscribe the cores. Forked workers inherit the
+cap; setting it again in a forked worker would start an OpenBLAS thread that
+spins on a core the others need, so a worker sets only a count it did not
+inherit (under another start method). The caller gets its own count back
+when the pool is done. projda itself loads only numpy's OpenBLAS; a library
+caller may also have scipy's, which is capped as well. The results do not
+depend on the thread count; the sweep tests check this at shapes where
+OpenBLAS runs threaded. A pool worker that dies (killed for memory, say)
+fails the trials the pool had not returned, each naming it; every other
+trial keeps its record.
 
 The tasks go out in chunks, and the (point, trial) tasks of a chunk run as
 one lockstep group (see trial.py): each cycle maps the states of all of them
@@ -144,11 +149,15 @@ def _pool_shape(jobs: int, n_tasks: int) -> tuple[int, int | None]:
 
 def _set_blas_threads(counts):
     """Set each OpenBLAS of this process to its count in counts, in the order
-    _openblas_entry_points lists them."""
-    for set_threads, n_threads in zip(_openblas_entry_points("set"), counts):
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(n_threads)
+    _openblas_entry_points lists them, where it is not at that count already:
+    a set call starts the library's threads anew, in a forked child even at
+    the count the library has (every OpenBLAS has both entry points)."""
+    for get_threads, set_threads, n_threads in zip(
+            _openblas_entry_points("get"), _openblas_entry_points("set"), counts):
+        if get_threads() != n_threads:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(n_threads)
 
 
 @contextmanager
@@ -167,10 +176,28 @@ def _blas_threads_capped(n_threads: int | None):
 
 
 def _init_worker(blas_threads: int | None, files: dict, spin_ups: dict):
+    """A pool worker's set-up: its trial memo, and the caller's BLAS cap for
+    a worker that did not inherit it (one not forked)."""
     global _worker_memo
     _worker_memo = TrialMemo(spin_ups=spin_ups, files=files)
     if blas_threads is not None:
         _set_blas_threads(repeat(blas_threads))
+
+
+def _lost(tasks: list, pool, workers: list) -> list:
+    """Failed records of the (point, trial, config) tasks the pool did not
+    return, each naming the worker that ended without its results, from the
+    workers' exit codes once the pool has stopped: the pool ends the others
+    with SIGTERM."""
+    import signal  # loaded with the pool already
+
+    pool.shutdown(wait=True)
+    dead = [f"pid {w.pid} (exit code {w.exitcode})" for w in workers
+            if w.exitcode not in (None, 0, -signal.SIGTERM)]
+    failure = (f"BrokenProcessPool: pool worker {', '.join(dead) or 'of unknown pid'} "
+               "ended before this trial finished")
+    logger.warning("%d trial(s) failed: %s", len(tasks), failure)
+    return [(p, t, MetricsRecord(trial=t, failed=True, failure=failure)) for p, t, _ in tasks]
 
 
 def _execute(chunks, workers: int, blas_threads: int | None,
@@ -181,29 +208,42 @@ def _execute(chunks, workers: int, blas_threads: int | None,
     process runs every workers-th list, the first included, with memo (a new
     one by default); a pool worker takes one of the other lists at a time and
     starts from the walks and files memo holds. With one worker there is no
-    pool."""
+    pool. A pool worker that dies fails the trials of every list the pool
+    did not return; the others keep their records."""
     memo = TrialMemo() if memo is None else memo
     theirs = [chunk for i, chunk in enumerate(chunks) if i % workers]
-    pool = None
-    if theirs:
-        # imported here, so that a run without a pool never loads
-        # multiprocessing and its sockets, subprocess and queue modules
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_init_worker,
-                                   initargs=(blas_threads, memo.files, memo.spin_ups))
     done = []
-    try:
-        # the first submission forks the workers, before this process grows
-        # with its own share
-        futures = [pool.submit(_run_chunk, chunk) for chunk in theirs]
-        with _blas_threads_capped(blas_threads):
+    # capped before the pool forks: a forked worker inherits the cap, and
+    # setting it there would start an OpenBLAS thread that spins
+    with _blas_threads_capped(blas_threads):
+        pool = None
+        if theirs:
+            # imported here, so that a run without a pool never loads
+            # multiprocessing and its sockets, subprocess and queue modules
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+            pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_init_worker,
+                                       initargs=(blas_threads, memo.files, memo.spin_ups))
+        try:
+            # the first submission forks the workers, before this process
+            # grows with its own share
+            futures = [pool.submit(_run_chunk, chunk) for chunk in theirs]
+            # the worker processes, for _lost, from the pool's private table:
+            # no public attribute names them
+            pool_workers = list(pool._processes.values()) if pool else []
             for chunk in chunks[::workers]:
                 done += _run_chunk(chunk, memo)
-            for future in futures:
-                done += future.result()
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            lost = []
+            for chunk, future in zip(theirs, futures):
+                try:
+                    done += future.result()
+                except BrokenProcessPool:
+                    lost += chunk
+            if lost:
+                done += _lost(lost, pool, pool_workers)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
     return {(p, t): rec for p, t, rec in done}
 
 

@@ -3,7 +3,12 @@
 Reproducibility contract: trial t of base seed s derives every random draw
 from RngStream(s).child(t), with fixed purpose indices below that (truth
 noise, observation noise, training, filter init, filter steps). Trials are
-therefore independent of execution order and of each other.
+therefore independent of execution order and of each other. The per-cycle
+streams (truth noise, observation noise, filter step, each under the
+observation index t) build no generator: a trial derives their Philox keys
+in blocks as it reaches them and re-keys one kept Generator for each, which
+then draws exactly as the stream's own generator() (see
+numerics._TimedStreams).
 
 A trial's truth ends a deterministic walk of burn_in + training_steps model
 steps; a time-dependent basis walks the last aus_spinup cycles of it itself.
@@ -41,6 +46,7 @@ from ..numerics import (
     TRUTH_NOISE,
     NoiseSpec,
     RngStream,
+    _TimedStreams,
     qr_positive,
 )
 from ..reduction import (
@@ -313,7 +319,7 @@ class _Trial:
     def _set_up(self, memo: TrialMemo):
         config = self.config
         self.model = model = config.build_model()
-        self.rng = rng = RngStream(config.base_seed).child(self.trial_index)
+        rng = RngStream(config.base_seed).child(self.trial_index)
         self.h = h = config.build_observation(model)
         self.q = q = NoiseSpec.scaled_identity(model.dimension, config.q_scale)
         self.r = r = NoiseSpec.scaled_identity(h.data_dim, config.r_scale)
@@ -334,6 +340,10 @@ class _Trial:
         q0 = conjugate_noise(q, self.u)
         self.ensemble = initialize_ensemble(z0, q0, config.n_particles,
                                             rng.child(FILTER_INIT))
+        # one Generator, re-keyed for every stream of every cycle
+        kept = np.random.Generator(np.random.Philox(0))
+        self.streams = {purpose: _TimedStreams(rng.child(purpose), config.n_observations, kept)
+                        for purpose in (TRUTH_NOISE, OBS_NOISE, FILTER_STEP)}
 
     @property
     def live(self) -> bool:
@@ -375,12 +385,12 @@ class _Trial:
         """The rest of the cycle from the states of begin_cycle mapped, in the
         same order: truth noise, observation, basis advance (a time-dependent
         u steps on to the next), filter update, metrics."""
-        config, t, rng = self.config, self.t, self.rng
+        config, t, streams = self.config, self.t, self.streams
         x_truth, particles = mapped[0], mapped[-1]
         if config.truth_noise:
-            x_truth = x_truth + self.q.sample(rng.child(TRUTH_NOISE, t))
+            x_truth = x_truth + self.q.sample(streams[TRUTH_NOISE][t])
         self.x_truth = x_truth
-        y = observe(x_truth, self.h, self.r, rng.child(OBS_NOISE, t))
+        y = observe(x_truth, self.h, self.r, streams[OBS_NOISE][t])
 
         if self.time_dependent:
             u_next, _ = aus_step(self.model, self.anchor, self.u, eps=config.aus_eps,
@@ -392,7 +402,7 @@ class _Trial:
             self.u = u_next
         reduced = self.reduced
         y_hat = reduced.reduce_data(y)
-        step_rng = rng.child(FILTER_STEP, t)
+        step_rng = streams[FILTER_STEP][t]
         fz = reduced.forecast_rows(particles)
         if config.uses_optimal_proposal:
             self.ensemble = proj_oppf_step(self.ensemble, reduced, y, y_hat,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError, WeightCollapseError
-from .numerics import NoiseSpec, RngStream, _as_generator
+from .numerics import NoiseSpec, RngStream, _KeyedStream, _as_generator
 from .reduction.reduced_model import ReducedModel
 
 
@@ -160,25 +160,12 @@ def _finish_step(reduced: ReducedModel, z_new: np.ndarray, log_w: np.ndarray,
 def _lanes(rng: RngStream) -> Callable[[int], np.random.Generator]:
     """lane(l) -> the step stream's one generator, repositioned at the start
     of counter lane l: Philox counter [0, 0, l, 0], the stream's key, an
-    empty buffer."""
-    gen = rng.generator()
-    bit_generator = gen.bit_generator
-    counter = np.zeros(4, dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": bit_generator.state["state"]["key"]},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-    def lane(l: int) -> np.random.Generator:
-        counter[2] = l
-        bit_generator.state = state
-        return gen
-
-    return lane
+    empty buffer (see _KeyedStream). A stream whose key is not known ahead
+    builds its generator here."""
+    if not isinstance(rng, _KeyedStream):
+        gen = rng.generator()
+        rng = _KeyedStream(rng.seed, rng.key, gen.bit_generator.state["state"]["key"], gen)
+    return rng.lane
 
 
 def _proposal_draws(lane: Callable[[int], np.random.Generator], n: int,

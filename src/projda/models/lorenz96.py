@@ -1,10 +1,12 @@
 """Lorenz-96 cyclic lattice model with fixed-step RK4 integration.
 
 A call of step(state, n) runs in the buffers of one plan per state shape,
-built on first use and kept for the life of the process. It returns one fresh
-array in its input's memory order, because later matrix products round
-differently on a different layout; calls on one shape must not overlap (no
-threads). cycle_map is the call of steps_per_observation steps.
+built on first use and kept for the life of the process: the state between
+halo rows that hold its cyclic neighbours, so the stages need no wrap copies
+(see _StepPlan). It returns one fresh array in its input's memory order,
+because later matrix products round differently on a different layout; calls
+on one shape must not overlap (no threads). cycle_map is the call of
+steps_per_observation steps.
 """
 
 from __future__ import annotations
@@ -29,54 +31,71 @@ def _plan(x: np.ndarray) -> "_StepPlan":
 
 
 class _StepPlan:
-    """C-ordered buffers for the RK4 step of states of one shape.
+    """C-ordered buffers for the RK4 step of states of one shape, with halo
+    rows.
 
-    The stage state lives in the rows u[M-2], u[M-1], u[0..M-1], u[0], so its
-    cyclic neighbours are row slices. Each element gets the float operations
-    of the allocating step x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), in the same
-    order, so every value matches it bit for bit.
+    The state lives in rows 8 .. M+7 of an (M + 12)-row buffer, whose rows
+    0..7 and M+8..M+11 hold its cyclic neighbours u[M-8..M-1] and u[0..3],
+    filled once per step: two row copies, or one gather where M < 8. The
+    tendency at row i reads rows i-2 .. i+1 only, so each of the four stages
+    computes it over a range 2 rows shorter on the left and 1 on the right
+    than its input's, the fourth over the M state rows: no stage copies or
+    wraps its input. Each element gets the float operations of the
+    allocating step x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), in the same order, so
+    every value matches it bit for bit.
     """
 
     def __init__(self, shape: tuple):
         m = shape[0]
-        w = np.zeros((m + 3,) + shape[1:])
-        self.ip1, self.im1, self.im2, self.stage = w[3:], w[1:m + 1], w[:m], w[2:m + 2]
-        self.wraps = ((w[:2], w[m:m + 2]), (w[m + 2:], w[2:3]))
-        self.k = [np.zeros(shape) for _ in range(5)]  # k1..k4, scratch
-
-    def tendency(self, forcing, out: np.ndarray) -> np.ndarray:
-        """The Lorenz-96 tendency of the stage state, into out:
-        du_i/dt = (u_{i+1} - u_{i-2}) u_{i-1} - u_i + F with cyclic indices."""
-        for rows, source in self.wraps:
-            rows[...] = source
-        np.subtract(self.ip1, self.im2, out=out)
-        out *= self.im1
-        out -= self.stage
-        out += forcing
-        return out
+        x, stage, *k = (np.zeros((m + 12,) + shape[1:]) for _ in range(6))
+        self.x, self.state = x, x[8:m + 8]
+        # the halo's sources: two row blocks, or where M < 8 a gather of every row
+        self.halo = ((x[:8], x[m:m + 8]), (x[m + 8:], x[8:12])) if m >= 8 else ()
+        self.gather = None if m >= 8 else 8 + np.arange(-8, m + 4) % m
+        # stage j's tendency k[j] spans rows [lo, hi) and reads its input
+        # over rows [lo - 2, hi + 1): x, then x + h k[j - 1] in stage
+        self.stages = []
+        for j, source in enumerate((x, stage, stage, stage)):
+            lo, hi = 2 * j + 2, m + 11 - j
+            rows = slice(lo - 2, hi + 1)
+            stage_in = (k[j - 1][rows], x[rows], stage[rows]) if j else None
+            self.stages.append((stage_in, source[lo + 1:hi + 1], source[lo - 2:hi - 2],
+                                source[lo - 1:hi - 1], source[lo:hi], k[j][lo:hi]))
+        self.k = [kj[8:m + 8] for kj in k]
 
     def step(self, x: np.ndarray, constants: tuple, n: int) -> np.ndarray:
-        """n RK4 steps from x into one fresh array in x's memory order; each
-        step after the first updates that array in place."""
+        """n RK4 steps from x into one fresh array in x's memory order."""
         forcing, half, full, sixth, two = constants
-        k1, k2, k3, k4, scaled = self.k
-        out = np.empty_like(x)
+        k1, k2, k3, k4 = self.k
+        state = self.state
+        state[...] = x
         for _ in range(n):
-            self.stage[...] = x
-            self.tendency(forcing, k1)
-            for k_in, k_out, h in ((k1, k2, half), (k2, k3, half), (k3, k4, full)):
-                np.multiply(k_in, h, out=scaled)
-                np.add(x, scaled, out=self.stage)
-                self.tendency(forcing, k_out)
+            if self.gather is not None:
+                np.take(self.x, self.gather, axis=0, out=self.x)  # buffered: safe in place
+            for rows, source in self.halo:
+                rows[...] = source
+            for (stage_in, ip1, im2, im1, u, k_out), h in zip(self.stages,
+                                                              (None, half, half, full)):
+                if stage_in is not None:
+                    k_in, x_in, u_in = stage_in
+                    np.multiply(k_in, h, out=u_in)
+                    np.add(x_in, u_in, out=u_in)
+                # du_i/dt = (u_{i+1} - u_{i-2}) u_{i-1} - u_i + F
+                np.subtract(ip1, im2, out=k_out)
+                k_out *= im1
+                k_out -= u
+                k_out += forcing
             k2 *= two
             k2 += k1
             k3 *= two
             k2 += k3
             k2 += k4
             k2 *= sixth
-            x = np.add(x, k2, out=out)
-            if not np.isfinite(out).all():
+            np.add(state, k2, out=state)
+            if not np.isfinite(state).all():
                 raise BlowupError("RK4 step produced non-finite values")
+        out = np.empty_like(x)
+        out[...] = state
         return out
 
 

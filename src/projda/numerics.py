@@ -60,6 +60,110 @@ class RngStream:
         return hash((self.seed, self.key))
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A) -> tuple:
+    """SeedSequence's hashmix of value (a Python int below 2**32 or a uint32
+    array) under the running constant const: (hash, next constant)."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hash y."""
+    result = (_MIX_L * x & _MASK32) - _MIX_R * y & _MASK32
+    return result ^ result >> 16
+
+
+def _philox_keys(seed: int, prefix: tuple, ts: np.ndarray) -> np.ndarray:
+    """The Philox keys of RngStream(seed, prefix + (t,)).generator() for each t
+    of the uint32 array ts, as a (len(ts), 2) uint64 array: a copy of
+    SeedSequence's pool mixing and of its generate_state(2, np.uint64). The
+    words before t mix once, as Python ints; t, always the last word, mixes
+    into the four pool words as a vector."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    # a spawn key follows the seed's words padded to the pool size
+    words += [0] * (4 - len(words)) + list(prefix) + [ts]
+    pool, const = [], _INIT_A
+    for word in words[:4]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[4:]:
+        for dst in range(4):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    state, const = [], _INIT_B
+    for word in pool:
+        value, const = _hashmix(word, const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+class _KeyedStream(RngStream):
+    """RngStream(seed, key) drawing through a Generator it is handed, which it
+    re-keys with the stream's Philox key, derived ahead by _philox_keys, in
+    place of building its own. lane(l) is that Generator at the start of
+    counter lane l of the stream: Philox counter [0, 0, l, 0], an empty
+    buffer; lane 0 draws as the stream's own generator() does, and so does
+    generator() here. The Generator serves one stream at a time: each call
+    repositions it."""
+
+    __slots__ = ("_gen", "_state")
+
+    def __init__(self, seed: int, key: tuple, philox_key: np.ndarray, gen: np.random.Generator):
+        # seed and key are those of a checked stream; no check again
+        self.seed, self.key, self._gen = seed, key, gen
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": philox_key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def lane(self, l: int) -> np.random.Generator:
+        self._state["state"]["counter"][2] = l
+        self._gen.bit_generator.state = self._state
+        return self._gen
+
+    def generator(self) -> np.random.Generator:
+        return self.lane(0)
+
+
+# keys _TimedStreams derives at a time: about 4 KiB of them
+_KEY_BLOCK = 256
+
+
+class _TimedStreams:
+    """The streams parent.child(t) for t = 1 .. last, as _KeyedStreams drawing
+    through gen. Their keys are derived _KEY_BLOCK at a time as t reaches
+    them, so memory does not grow with last."""
+
+    def __init__(self, parent: RngStream, last: int, gen: np.random.Generator):
+        parent.child(last)  # a ValueError where last does not fit a stream key
+        self.parent, self.last, self.gen = parent, last, gen
+        self.first, self.keys = 1, np.empty((0, 2), dtype=np.uint64)
+
+    def __getitem__(self, t: int) -> _KeyedStream:
+        seed, prefix = self.parent.seed, self.parent.key
+        if not 0 <= t - self.first < len(self.keys):
+            ts = np.arange(t, min(t + _KEY_BLOCK, self.last + 1), dtype=np.uint32)
+            self.first, self.keys = t, _philox_keys(seed, prefix, ts)
+        return _KeyedStream(seed, prefix + (t,), self.keys[t - self.first], self.gen)
+
+
 def _as_generator(rng) -> np.random.Generator:
     """Accept an RngStream or a live Generator; internal callers pass the
     latter when several draws must continue one sequence."""
@@ -74,6 +178,8 @@ def _as_generator(rng) -> np.random.Generator:
 # experiment driver: trial stream = RngStream(base_seed).child(trial_index),
 # then one of these, then any per-time index. A filter step addresses its
 # particles by counter lanes of its stream's generator (see projda.filters).
+# A trial derives the keys of its per-time streams in bulk (_TimedStreams)
+# and draws through one re-keyed Generator, exactly as each stream's own.
 TRUTH_IC = 0
 TRUTH_NOISE = 1
 OBS_NOISE = 2

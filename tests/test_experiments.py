@@ -79,6 +79,10 @@ def _worker_blas_threads(monkeypatch, jobs):
     return {n for counts in results.values() for n in counts}
 
 
+def _report_threads(chunk, memo=None):
+    return [(p, t, (os.getpid(), len(os.listdir("/proc/self/task")))) for p, t, _ in chunk]
+
+
 def _walked_columns(x0) -> list:
     """The start states of a walk: x0 itself, or each column of a block."""
     return list(x0.T) if x0.ndim == 2 else [x0]
@@ -574,6 +578,23 @@ class TestSweep:
             assert _blas_threads() == before
         finally:
             sweep._set_blas_threads(own)
+
+    def test_forked_workers_start_no_blas_thread(self, monkeypatch):
+        # the cap is set before the pool forks: setting it again in a forked
+        # worker would start an OpenBLAS thread, which spins
+        _require_openblas()
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("/proc/self/task is missing")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(sweep, "_run_chunk", _report_threads)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        chunks = [[(0, t, None)] for t in range(4)]
+        results = sweep._execute(chunks, *sweep._pool_shape(2, len(chunks)))
+        in_pool = {results[(0, t)] for t in (1, 3)}
+        assert {pid for pid, _ in in_pool} != {os.getpid()}
+        assert {threads for _, threads in in_pool} == {1}
 
     def test_workers_keep_user_blas_threads(self, monkeypatch):
         _require_openblas()

@@ -7,16 +7,19 @@ in one trial of a group must leave its siblings as they are when run alone.
 """
 
 import concurrent.futures
+import csv
 import functools
 import logging
 import multiprocessing
 import os
+import re
 import sys
 
 import numpy as np
 import pytest
 
 import projda.experiments.trial as trial_module
+from projda.cli import dispatch
 from projda.errors import BlowupError, ProjdaError
 from projda.experiments import (
     MetricsRecord,
@@ -599,3 +602,66 @@ def test_each_process_reads_each_input_file_once(monkeypatch, tmp_path, jobs):
     # from what it read
     assert sorted(log.read_text().splitlines()) == sorted(
         [f"{os.getpid()} {snapshots}", f"{os.getpid()} {basis}"])
+
+
+# 4 trials of a small model: at --jobs 2 the caller runs trials 0 and 2 and
+# the pool 1 and 3; at --jobs 3 the caller runs 0 and 3, the pool 1 and 2
+_DYING_INI = """
+[model]
+kind = l96
+dimension = 8
+
+[reduction]
+kind = pod
+r_p = 4
+r_d = 2
+training_steps = 40
+
+[filter]
+kind = projoppf
+n_particles = 4
+
+[experiment]
+n_observations = 6
+trials = 4
+burn_in = 50
+"""
+
+
+def _trial_rows(path) -> dict:
+    """trial -> the rows of the trial CSV at path."""
+    rows: dict = {}
+    with open(path, newline="") as fh:
+        for row in list(csv.reader(fh))[1:]:
+            rows.setdefault(int(row[0]), []).append(row)
+    return rows
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_a_pool_worker_that_dies_fails_its_trials_not_the_run(monkeypatch, tmp_path,
+                                                               caplog, jobs):
+    ini, serial, out = (str(tmp_path / name) for name in ("dying.ini", "serial.csv", "out.csv"))
+    with open(ini, "w") as fh:
+        fh.write(_DYING_INI)
+    assert dispatch(["assimilate", "--config", ini, "--out", serial]) == 0
+    caller, finish_cycle = os.getpid(), trial_module._Trial.finish_cycle
+
+    def dies_in_a_pool_worker(self, mapped):
+        # as the system ends a process it kills for memory: at once, with
+        # nothing sent back
+        if self.trial_index == 1 and self.t == 3 and os.getpid() != caller:
+            os._exit(9)
+        return finish_cycle(self, mapped)
+
+    monkeypatch.setattr(trial_module._Trial, "finish_cycle", dies_in_a_pool_worker)
+    _forked_pool(monkeypatch)
+    # some trial completed, so the run exits 0
+    assert dispatch(["assimilate", "--config", ini, "--out", out, "--jobs", str(jobs)]) == 0
+    got, expected = _trial_rows(out), _trial_rows(serial)
+    assert 1 not in got and {0, jobs} <= set(got)
+    for trial, rows in got.items():
+        assert rows == expected[trial]
+    failures = [r.getMessage() for r in caplog.records if "BrokenProcessPool" in r.getMessage()]
+    assert len(failures) == 1 and re.search(
+        r"BrokenProcessPool: pool worker pid \d+ \(exit code 9\) ended before this trial "
+        r"finished$", failures[0]), failures

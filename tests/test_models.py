@@ -266,6 +266,21 @@ class TestLorenz96:
             x, expected = spec.step(x), _reference_l96_step(spec, expected)
         assert _same_layout(x, expected) and np.array_equal(x, expected)
 
+    @pytest.mark.parametrize("forcing", [3.0, 8.0])
+    @pytest.mark.parametrize("columns, order", [(None, "C")] + [
+        (k, order) for k in (1, 2, 21, 84) for order in "CF"])
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 40])
+    def test_halo_plan_matches_reference_at_every_dimension(self, m, columns, order, forcing):
+        # below 8 rows one gather fills the halo, from 8 rows on two row copies
+        spec = L96Spec(dimension=m, forcing=forcing)
+        shape = (m,) if columns is None else (m, columns)
+        x = expected = np.asarray(
+            3.0 * np.random.default_rng(m).standard_normal(shape) + 2.0, order=order)
+        for _ in range(37):
+            expected = _reference_l96_step(spec, expected)
+        got = spec.step(x, 37)
+        assert _same_layout(got, expected) and np.array_equal(got, expected)
+
     def test_interleaved_forcings_share_a_plan_exactly(self):
         # the plan is keyed by shape, not by spec: forcing and dt come with
         # each call, so two specs of one shape stepped in turn stay exact
@@ -699,7 +714,7 @@ def _nan_velocity(spec: SWESpec) -> np.ndarray:
 
 def _l96_spike(spec: L96Spec) -> np.ndarray:
     x = np.full(spec.dimension, spec.forcing)
-    x[5] = 1e5
+    x[5 % spec.dimension] = 1e5
     return x
 
 
@@ -725,6 +740,9 @@ _WALKS = {
                               r"^shallow-water velocities are non-finite \(column 1\)$"),
     "fast-deep-pair": (_SMALL, _fast_deep_pair, None, None),
     "l96-at-step-2": (L96Spec(), _l96_spike, 2, r"^RK4 step produced non-finite values$"),
+    # a halo from one gather: fewer rows than the halo
+    "l96-m5-at-step-2": (L96Spec(dimension=5), _l96_spike, 2,
+                         r"^RK4 step produced non-finite values$"),
 }
 
 

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projda.errors import NumericsError, RankDeficiencyError
-from projda.numerics import NoiseSpec, RngStream, _inverse_cholesky, qr_positive
+from projda.numerics import (
+    NoiseSpec,
+    RngStream,
+    _KeyedStream,
+    _TimedStreams,
+    _inverse_cholesky,
+    _philox_keys,
+    qr_positive,
+)
 
 
 class TestRngStream:
@@ -204,3 +212,44 @@ def test_scalar_quad_is_scaled_norm(vals, scale):
     v = np.asarray(vals)
     q = NoiseSpec.scaled_identity(v.size, scale)
     np.testing.assert_allclose(q.quad(v), float(v @ v) / scale, rtol=1e-12)
+
+
+_UINT32 = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=2**130),
+    st.lists(_UINT32, max_size=3).map(tuple),
+    st.lists(_UINT32, min_size=1, max_size=5),
+)
+def test_bulk_philox_keys_are_seed_sequence_keys(seed, prefix, ts):
+    keys = _philox_keys(seed, prefix, np.array(ts, dtype=np.uint32))
+    assert keys.shape == (len(ts), 2) and keys.dtype == np.uint64
+    gen = np.random.Generator(np.random.Philox(0))
+    for t, key in zip(ts, keys):
+        stream = RngStream(seed, prefix + (t,))
+        np.testing.assert_array_equal(key, np.random.SeedSequence(
+            seed, spawn_key=prefix + (t,)).generate_state(2, np.uint64))
+        # a kept generator re-keyed draws as the stream's own does, and
+        # goes on doing so after another stream used it
+        keyed = _KeyedStream(seed, prefix + (t,), key, gen)
+        expected = stream.generator()
+        np.testing.assert_array_equal(keyed.generator().standard_normal(3),
+                                      expected.standard_normal(3))
+        np.testing.assert_array_equal(keyed.generator().random(2),
+                                      stream.generator().random(2))
+
+
+def test_timed_streams_cross_key_blocks():
+    # the keys of a trial's streams come _KEY_BLOCK at a time; every stream
+    # of every block draws as RngStream's own generator
+    parent = RngStream(2**70 + 11).child(3, 5)
+    gen = np.random.Generator(np.random.Philox(0))
+    streams = _TimedStreams(parent, 600, gen)
+    for t in (1, 2, 256, 257, 512, 513, 600):
+        got = streams[t].generator().standard_normal(4)
+        np.testing.assert_array_equal(got, parent.child(t).generator().standard_normal(4))
+        assert streams[t] == parent.child(t)
+    with pytest.raises(ValueError, match="uint32"):
+        _TimedStreams(parent, 2**32, gen)
