@@ -2,9 +2,9 @@
 
 _TABLE maps each INI section and key to the ExperimentConfig field it sets,
 and is the only place that names them: a range error takes its "[section]
-key" from it. _ALLOWED, _AT_LEAST and _ABOVE hold each choice list and plain
-lower bound once, and validate checks them with finiteness in one pass over
-_TABLE; README.md (Configuration) lists the keys with their ranges. The
+key" from it. _ALLOWED, _AT_LEAST, _ABOVE and _AT_MOST hold each choice list
+and plain bound once, and validate checks them with finiteness in one pass
+over _TABLE; README.md (Configuration) lists the keys with their ranges. The
 model and filter defaults are those of L96Spec, SWESpec and FilterConfig;
 unset keys take model-dependent defaults. Sweep keys are comma-separated
 lists; an empty value means the axis is not swept. A sweep is its points
@@ -150,6 +150,8 @@ class ExperimentConfig:
                 raise bad(name, f"must be >= {_AT_LEAST[name]}, got {value}")
             if name in _ABOVE and not value > _ABOVE[name]:
                 raise bad(name, f"must be > {_ABOVE[name]}, got {value}")
+            if name in _AT_MOST and not value <= _AT_MOST[name]:
+                raise bad(name, f"must be <= {_AT_MOST[name]}, got {value}")
         if self.model_kind == "swe" and self.sweep_forcing:
             raise bad("sweep_forcing", "forcing applies to the l96 model only")
         if self.model_kind == "l96" and self.sweep_scenario:
@@ -300,6 +302,9 @@ _AT_LEAST = {"q_scale": 0, "training_steps": 0, "training_stride": 1, "dmd_rank"
              "base_seed": 0, "lyapunov_steps": 1, "lyapunov_exponents": 1,
              "lyapunov_qr_interval": 1}
 _ABOVE = {"r_scale": 0, "lyapunov_eps": 0}
+# Plain upper bounds: field <= bound. Each trial index and observation index
+# keys a random stream as one uint32 entry (see numerics.RngStream)
+_AT_MOST = {"n_observations": 2**32 - 1, "trials": 2**32}
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 

@@ -75,15 +75,15 @@ class SummaryRow:
     failed_trials: int
 
 
-# A pool worker's trial memo, opened by the worker's initializer and kept for
-# its life; the parent process never sets it.
+# A pool worker's trial memo, the caller's, handed over by the worker's
+# initializer and kept for its life; the calling process never sets it.
 _worker_memo: TrialMemo | None = None
 
 
 def _run_chunk(chunk, memo: TrialMemo | None = None) -> list:
     """Run a list of (point, trial, config) tasks as one lockstep group:
     register them in memo (by default the pool worker's), then call run_trial
-    for each, the first call running them all."""
+    for each in the group's order, the first call running them all."""
     if memo is None:
         memo = _worker_memo
     memo.group = [(cfg, t) for _, t, cfg in chunk]
@@ -103,9 +103,10 @@ def run_point(config: ExperimentConfig, jobs: int = 1) -> list[MetricsRecord]:
 _OPENBLAS_NAMES = tuple(product(("scipy_openblas_", "openblas_"), ("64_", "")))
 
 
-def _openblas_entry_points(verb: str) -> list:
-    """The ``<verb>_num_threads`` function of every OpenBLAS mapped into this
-    process; empty where none is loaded or /proc/self/maps is unreadable."""
+def _openblas() -> list:
+    """The (get, set) thread-count functions of every OpenBLAS mapped into
+    this process, one pair per library, read from one scan of
+    /proc/self/maps; empty where none is loaded or the maps are unreadable."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
@@ -113,18 +114,20 @@ def _openblas_entry_points(verb: str) -> list:
         return []
     paths = sorted({f[5].strip() for f in fields
                     if len(f) == 6 and "openblas" in os.path.basename(f[5])})
-    entries = []
+    pairs = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
         for prefix, suffix in _OPENBLAS_NAMES:
-            fn = getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)
-            if fn is not None:
-                entries.append(fn)
+            get, set_ = (getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)
+                         for verb in ("get", "set"))
+            if get and set_:
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pairs.append((get, set_))
                 break
-    return entries
+    return pairs
 
 
 def _usable_cpus() -> int:
@@ -142,46 +145,40 @@ def _pool_shape(jobs: int, n_tasks: int) -> tuple[int, int | None]:
     workers = min(jobs, n_tasks)
     if (workers == 1 or "OPENBLAS_NUM_THREADS" in os.environ
             or "OMP_NUM_THREADS" in os.environ
-            or not _openblas_entry_points("set")):
+            or not _openblas()):
         return workers, None
     return workers, max(1, _usable_cpus() // workers)
 
 
-def _set_blas_threads(counts):
-    """Set each OpenBLAS of this process to its count in counts, in the order
-    _openblas_entry_points lists them, where it is not at that count already:
-    a set call starts the library's threads anew, in a forked child even at
-    the count the library has (every OpenBLAS has both entry points)."""
-    for get_threads, set_threads, n_threads in zip(
-            _openblas_entry_points("get"), _openblas_entry_points("set"), counts):
-        if get_threads() != n_threads:
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            set_threads(n_threads)
+def _set_blas_threads(pairs: list, counts):
+    """Set each OpenBLAS of pairs (see _openblas) to its count in counts,
+    where it is not at that count already: a set call starts the library's
+    threads anew, in a forked child even at the count the library has."""
+    for (get, set_), n_threads in zip(pairs, counts):
+        if get() != n_threads:
+            set_(n_threads)
 
 
 @contextmanager
 def _blas_threads_capped(n_threads: int | None):
     """Every OpenBLAS of this process at n_threads for the block, then back at
     its own count; None leaves the libraries alone."""
-    if n_threads is None:
-        yield
-        return
-    before = [get() for get in _openblas_entry_points("get")]
-    _set_blas_threads(repeat(n_threads))
+    pairs = [] if n_threads is None else _openblas()
+    before = [get() for get, _ in pairs]
+    _set_blas_threads(pairs, repeat(n_threads))
     try:
         yield
     finally:
-        _set_blas_threads(before)
+        _set_blas_threads(pairs, before)
 
 
-def _init_worker(blas_threads: int | None, files: dict, spin_ups: dict):
-    """A pool worker's set-up: its trial memo, and the caller's BLAS cap for
-    a worker that did not inherit it (one not forked)."""
+def _init_worker(blas_threads: int | None, memo: TrialMemo):
+    """A pool worker's set-up: the caller's trial memo as its own, and the
+    caller's BLAS cap for a worker that did not inherit it (one not forked)."""
     global _worker_memo
-    _worker_memo = TrialMemo(spin_ups=spin_ups, files=files)
+    _worker_memo = memo
     if blas_threads is not None:
-        _set_blas_threads(repeat(blas_threads))
+        _set_blas_threads(_openblas(), repeat(blas_threads))
 
 
 def _lost(tasks: list, pool, workers: list) -> list:
@@ -223,7 +220,7 @@ def _execute(chunks, workers: int, blas_threads: int | None,
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
             pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_init_worker,
-                                       initargs=(blas_threads, memo.files, memo.spin_ups))
+                                       initargs=(blas_threads, memo))
         try:
             # the first submission forks the workers, before this process
             # grows with its own share

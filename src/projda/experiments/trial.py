@@ -24,7 +24,8 @@ the states of every trial of the group on one model go through a single
 model.cycle_map call; each trial then finishes its cycle alone. A model maps
 every column by itself, and each mapped block is handed back in the memory
 order its own call would return, so a trial's results do not depend on its
-group. run_trial on its own runs a group of one.
+group. run_trial runs the group registered in TrialMemo at its first call;
+that call and each later one, in the group's order, take the next record.
 """
 
 from __future__ import annotations
@@ -242,13 +243,13 @@ class TrialMemo:
     """What the trials of one process share: deterministic walks by
     (config, trial_index) (spin_ups, see _walk_ahead), input files by path
     (files, see _file_inputs), and a lockstep group, the (config,
-    trial_index) pairs registered to run together (group) with the records
-    it finished ahead of their run_trial calls (records)."""
+    trial_index) pairs registered to run together (group), with the records
+    its run_trial calls have yet to take, in the group's order (records)."""
 
     spin_ups: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)
     group: list = field(default_factory=list)
-    records: dict = field(default_factory=dict)
+    records: list = field(default_factory=list)
 
 
 def _state_basis(kind: str, snapshots: np.ndarray, r: int, dmd_rank: int,
@@ -494,21 +495,12 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     memo, when given, is shared by the trials that receive it; sweeps pass
     one per process, and the outputs do not depend on it. A trial takes its
     walk from memo.spin_ups, where _walk_ahead put it, or else walks alone
-    and keeps nothing; input files in memo are not read again. A trial
-    registered in memo.group runs in lockstep with the whole group: the
-    first run_trial call of the group runs every trial in it and keeps the
-    others' records for their own calls. Any other trial runs as a group of
-    one."""
+    and keeps nothing; input files in memo are not read again. A group
+    registered in memo.group is called in its order: the first call runs it
+    in lockstep, and every call takes the next of memo.records. A call with
+    no group and no record left runs its trial as a group of one."""
     memo = TrialMemo() if memo is None else memo
-    key = (config, trial_index)
-    if key not in memo.records:
-        group = memo.group if key in memo.group else [key]
-        if group is memo.group:
-            memo.group = []
-        for done, record in zip(group, _run_lockstep(group, memo)):
-            memo.records.setdefault(done, []).append(record)
-    records = memo.records[key]
-    record = records.pop(0)
-    if not records:
-        del memo.records[key]
-    return record
+    if not memo.records:
+        group, memo.group = memo.group or [(config, trial_index)], []
+        memo.records = _run_lockstep(group, memo)
+    return memo.records.pop(0)

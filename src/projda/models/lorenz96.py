@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BlowupError
+from ..numerics import _as_generator
 
 
 _PLANS: dict[tuple, "_StepPlan"] = {}
@@ -146,11 +147,11 @@ class L96Spec:
 
     def default_state(self, rng=None) -> np.ndarray:
         """Forcing-level rest state, optionally with a small random perturbation
-        to break the symmetry before spin-up."""
+        drawn from rng (an RngStream or a Generator) to break the symmetry
+        before spin-up."""
         x = np.full(self.dimension, self.forcing, dtype=float)
         if rng is not None:
-            gen = rng.generator() if hasattr(rng, "generator") else rng
-            x = x + 0.1 * gen.standard_normal(self.dimension)
+            x = x + 0.1 * _as_generator(rng).standard_normal(self.dimension)
         else:
             x[0] += 0.01
         return x

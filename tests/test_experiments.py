@@ -12,6 +12,7 @@ import functools
 import itertools
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -49,7 +50,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _blas_threads():
-    return [get() for get in sweep._openblas_entry_points("get")]
+    return [get() for get, _ in sweep._openblas()]
 
 
 def _require_openblas():
@@ -62,7 +63,7 @@ def _require_openblas():
     paths = [f[5] for f in (line.split(maxsplit=5) for line in lines) if len(f) == 6]
     if not any("openblas" in os.path.basename(path) for path in paths):
         pytest.skip("no OpenBLAS loaded")
-    assert sweep._openblas_entry_points("get"), (
+    assert sweep._openblas(), (
         "an OpenBLAS is mapped, but none of its thread-count entry points was found")
 
 
@@ -103,19 +104,23 @@ def _count_spin_ups(monkeypatch):
 
 
 # A 2-job sweep of the tiny config at argv[2] points (sweep_r_p) and argv[3]
-# trials in a forked pool. It logs, to the file argv[1], each walked column
-# ("<pid> walk <start state>") and each trial's start ("<pid> trial <whether
-# numpy.random is loaded>"), and prints the calling process's pid.
+# trials, in a pool whose workers start by the method argv[1]. It pickles the
+# config and its rows to rows.pickle beside this file and prints the calling
+# process's pid. Run as a file, whose top level a worker that is not forked
+# runs as its main module, so that the patches reach every worker: each
+# process logs, to log.txt beside the file, each walked column ("<pid> walk
+# <start state>") and each trial's start ("<pid> trial <whether numpy.random
+# is loaded> <thread count of each OpenBLAS>").
 _POOL_WALKS = """
-import concurrent.futures, functools, multiprocessing, os, sys
+import os, pickle, sys
 import projda.experiments.trial as trial_module
 from projda.experiments import default_config, run_sweep, sweep
 
-log, points, trials = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+here = os.path.dirname(os.path.abspath(__file__))
 walk, run = trial_module._spin_up, sweep.run_trial
 
 def note(line):
-    with open(log, "a") as fh:
+    with open(os.path.join(here, "log.txt"), "a") as fh:
         fh.write(f"{os.getpid()} {line}\\n")
 
 def logged_walk(model, x0, *args):
@@ -124,47 +129,55 @@ def logged_walk(model, x0, *args):
     return walk(model, x0, *args)
 
 def logged_trial(config, trial_index, memo=None):
-    note(f"trial {'numpy.random' in sys.modules}")
+    loaded = "numpy.random" in sys.modules
+    note(" ".join(["trial", str(loaded)] + [str(get()) for get, _ in sweep._openblas()]))
     return run(config, trial_index, memo)
 
 trial_module._spin_up = logged_walk
 sweep.run_trial = logged_trial
-concurrent.futures.ProcessPoolExecutor = functools.partial(
-    concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
-cfg = default_config("l96", dimension=8, n_particles=4, n_observations=6, trials=trials,
-                     burn_in=50, training_steps=40, training_stride=5, r_p=4, r_d=2,
-                     base_seed=777, filter_kind="projoppf", reduction_kind="pod",
-                     sweep_r_p=tuple(range(2, 2 + points)))
-run_sweep(cfg, jobs=2)
-print(os.getpid())
+
+if __name__ == "__main__":
+    import concurrent.futures, functools, multiprocessing
+    method, points, trials = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+    concurrent.futures.ProcessPoolExecutor = functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+    cfg = default_config("l96", dimension=8, n_particles=4, n_observations=6, trials=trials,
+                         burn_in=50, training_steps=40, training_stride=5, r_p=4, r_d=2,
+                         base_seed=777, filter_kind="projoppf", reduction_kind="pod",
+                         sweep_r_p=tuple(range(2, 2 + points)))
+    with open(os.path.join(here, "rows.pickle"), "wb") as fh:
+        pickle.dump((cfg, run_sweep(cfg, jobs=2)), fh)
+    print(os.getpid())
 """
 
 
-def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+def _pool_walks(tmp_path, method: str, points: int, trials: int) -> tuple:
+    """_POOL_WALKS run from tmp_path in a fresh interpreter, where nothing has
+    imported numpy.random before the sweep: the calling process's pid, the
+    log's lines split into fields, and the pickled config and rows."""
+    script = tmp_path / "pool_walks.py"
+    script.write_text(_POOL_WALKS)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                          text=True, timeout=120)
+    out = subprocess.run([sys.executable, str(script), method, str(points), str(trials)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = [line.split() for line in (tmp_path / "log.txt").read_text().splitlines()]
+    return out.stdout.strip(), lines, pickle.loads((tmp_path / "rows.pickle").read_bytes())
 
 
 def _assert_walked_once_by_the_caller(tmp_path, points: int, trials: int):
-    """Run _POOL_WALKS in a fresh interpreter, where nothing has imported
-    numpy.random before the sweep. Each start state must be walked once, all
-    in the calling process, and each pool worker must find numpy.random
-    loaded at its first trial. The patched walker reaches the workers only if
-    they are forked (forkserver and spawn workers import the module afresh),
-    so the pool is asked for fork rather than the platform's default."""
-    log = tmp_path / "log.txt"
-    out = _run_python(_POOL_WALKS, str(log), str(points), str(trials))
-    assert out.returncode == 0, out.stderr
-    caller = out.stdout.strip()
-    lines = [line.split() for line in log.read_text().splitlines()]
-    walks = [(pid, start) for pid, what, start in lines if what == "walk"]
+    """Each start state of a forked pool's sweep must be walked once, all in
+    the calling process, and each pool worker must find numpy.random loaded
+    at its first trial. The pool is asked for fork, whose workers inherit
+    it, rather than the platform's default."""
+    caller, lines, _ = _pool_walks(tmp_path, "fork", points, trials)
+    walks = [(pid, start) for pid, what, start, *_ in lines if what == "walk"]
     assert {pid for pid, _ in walks} == {caller}
     assert len(walks) == len({start for _, start in walks}) == trials
     first = {}
-    for pid, what, loaded in lines:
+    for pid, what, loaded, *_ in lines:
         if what == "trial" and pid != caller:
             first.setdefault(pid, loaded)
     assert first and set(first.values()) == {"True"}
@@ -571,13 +584,13 @@ class TestSweep:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         own = _blas_threads()
         # more threads than any worker's share, so that the cap shows
-        sweep._set_blas_threads(itertools.repeat(sweep._usable_cpus() + 1))
+        sweep._set_blas_threads(sweep._openblas(), itertools.repeat(sweep._usable_cpus() + 1))
         try:
             before = _blas_threads()
             run_sweep(_tiny(filter_kind="oppf", trials=2), jobs=2)
             assert _blas_threads() == before
         finally:
-            sweep._set_blas_threads(own)
+            sweep._set_blas_threads(sweep._openblas(), own)
 
     def test_forked_workers_start_no_blas_thread(self, monkeypatch):
         # the cap is set before the pool forks: setting it again in a forked
@@ -596,11 +609,31 @@ class TestSweep:
         assert {pid for pid, _ in in_pool} != {os.getpid()}
         assert {threads for _, threads in in_pool} == {1}
 
-    def test_workers_keep_user_blas_threads(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_workers_not_forked_take_the_memo_and_the_blas_cap(self, monkeypatch, tmp_path,
+                                                                method):
+        # forkserver (the default on Linux from Python 3.14) and spawn workers
+        # inherit neither the caller's memo nor its cap: the initializer hands
+        # over the memo, so that every walk stays in the caller, and sets the cap
+        _require_openblas()
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        caller, lines, (cfg, pooled) = _pool_walks(tmp_path, method, points=3, trials=2)
+        assert pooled == run_sweep(cfg, jobs=1)
+        assert {pid for pid, what, *_ in lines if what == "walk"} == {caller}
+        trials = [(pid, counts) for pid, what, _, *counts in lines if what == "trial"]
+        assert {pid for pid, _ in trials} - {caller}
+        cap = str(max(1, sweep._usable_cpus() // 2))
+        assert {n for _, counts in trials for n in counts} == {cap}
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_workers_keep_user_blas_threads(self, monkeypatch, variable):
         _require_openblas()
         # the library read the variable when it loaded; the pool must not
         # override what it chose
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv(variable, "2")
         own = set(_blas_threads())
         assert _worker_blas_threads(monkeypatch, sweep._usable_cpus()) == own
 

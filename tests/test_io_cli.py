@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from projda.cli import dispatch
-from projda.errors import ReductionError
+from projda.errors import ConfigError, ReductionError
 from projda.experiments import load_config, run_point, sweep, training_trajectory
-from projda.experiments.config import _ABOVE, _ALLOWED, _AT_LEAST, _TABLE
+from projda.experiments.config import _ABOVE, _ALLOWED, _AT_LEAST, _AT_MOST, _TABLE
 from projda.experiments.sweep import write_trial_csv
 from projda.models import load_snapshots, save_snapshots
 from projda.reduction import ReductionBasis, load_basis, save_basis
@@ -442,8 +442,8 @@ class TestCliLyapunov:
 # field -> its INI section and key
 _SECTION_KEY = {name: (section, key) for section, keys in _TABLE.items()
                 for key, name in keys.items()}
-# every plain lower bound: field, the least value accepted, the nearest one
-# rejected
+# every plain bound: field, the value accepted nearest the bound, the nearest
+# one rejected; the lower bounds, then the upper ones
 _PLAIN_BOUNDS = [
     ("q_scale", "0", "-5e-324"), ("r_scale", "2.2250738585072014e-308", "0"),
     ("training_steps", "0", "-1"), ("training_stride", "1", "0"), ("dmd_rank", "0", "-1"),
@@ -451,6 +451,7 @@ _PLAIN_BOUNDS = [
     ("trials", "1", "0"), ("base_seed", "0", "-1"), ("lyapunov_steps", "1", "0"),
     ("lyapunov_exponents", "1", "0"), ("lyapunov_eps", "2.2250738585072014e-308", "0"),
     ("lyapunov_qr_interval", "1", "0"),
+    ("n_observations", "4294967295", "4294967296"), ("trials", "4294967296", "4294967297"),
 ]
 
 
@@ -535,8 +536,9 @@ class TestCliErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
 
-    @pytest.mark.parametrize("name, bound, outside", _PLAIN_BOUNDS,
-                             ids=[case[0] for case in _PLAIN_BOUNDS])
+    @pytest.mark.parametrize("name, bound, outside", _PLAIN_BOUNDS, ids=[
+        name if float(outside) < float(bound) else f"{name}-at-most"
+        for name, bound, outside in _PLAIN_BOUNDS])
     def test_plain_bound_is_checked_at_its_own_key(self, tmp_path, capsys, monkeypatch,
                                                    name, bound, outside):
         # the bound itself (or, for a strict one, the least normal float above
@@ -554,12 +556,16 @@ class TestCliErrors:
         self._rejected(tmp_path, capsys, monkeypatch, name, "none")
 
     def test_bound_cases_cover_the_tables(self):
-        assert sorted(case[0] for case in _PLAIN_BOUNDS) == sorted([*_AT_LEAST, *_ABOVE])
+        assert sorted(case[0] for case in _PLAIN_BOUNDS) == sorted(
+            [*_AT_LEAST, *_ABOVE, *_AT_MOST])
 
     @staticmethod
     def _rejected(tmp_path, capsys, monkeypatch, name, value):
         monkeypatch.setattr(sweep, "_execute", _no_trials)
         ini = _one_key_ini(tmp_path / "bad.ini", name, value)
+        # the loader itself rejects it, so the run never builds its tasks
+        with pytest.raises(ConfigError):
+            load_config(ini)
         assert dispatch(["assimilate", "--config", ini, "--out", str(tmp_path / "out")]) == 2
         section, key = _SECTION_KEY[name]
         lines = capsys.readouterr().err.splitlines()

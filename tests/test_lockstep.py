@@ -24,6 +24,7 @@ from projda.errors import BlowupError, ProjdaError
 from projda.experiments import (
     MetricsRecord,
     default_config,
+    load_config,
     replace,
     rmse,
     rmse_projected,
@@ -665,3 +666,21 @@ def test_a_pool_worker_that_dies_fails_its_trials_not_the_run(monkeypatch, tmp_p
     assert len(failures) == 1 and re.search(
         r"BrokenProcessPool: pool worker pid \d+ \(exit code 9\) ended before this trial "
         r"finished$", failures[0]), failures
+
+
+def test_a_sweep_axis_that_repeats_a_value(tmp_path):
+    # r_p = 3 twice puts one (config, trial) twice into a lockstep group, so
+    # the group's records hold two for one key; --jobs 3 splits each trial's
+    # points between two chunks
+    ini = tmp_path / "repeated.ini"
+    ini.write_text(_DYING_INI.replace("trials = 4", "trials = 2") + "sweep_r_p = 3, 3, 4\n")
+    written = []
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert dispatch(["sweep", "--config", str(ini), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    rows = run_sweep(load_config(str(ini)), jobs=2)
+    assert [row.r_p for row in rows] == [3, 3, 4] and rows[0] == rows[1]
+    assert rows[0].failed_trials == 0

@@ -354,6 +354,15 @@ class TestLorenz96:
             x = spec.step(x)
         assert np.all(np.abs(x) < 30)
 
+    def test_default_state_draws_from_a_stream_or_a_generator(self):
+        spec = L96Spec(dimension=8)
+        drawn = np.full(8, spec.forcing) + 0.1 * RngStream(1).generator().standard_normal(8)
+        np.testing.assert_array_equal(spec.default_state(RngStream(1)), drawn)
+        np.testing.assert_array_equal(spec.default_state(RngStream(1).generator()), drawn)
+        # a seed is neither: the TypeError of every function that draws
+        with pytest.raises(TypeError, match="expected RngStream or numpy Generator"):
+            spec.default_state(7)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             L96Spec(dimension=3)
